@@ -236,10 +236,13 @@ def read_metric_table_csv(path) -> MetricTable:
             continue
         if len(row) != 3 + len(columns):
             raise InvalidInputError(f"{path}: line {line_number} has {len(row)} fields")
-        values = {
-            metric: float(cell)
-            for metric, cell in zip(columns, row[3:])
-            if cell != ""
-        }
+        try:
+            values = {
+                metric: float(cell)
+                for metric, cell in zip(columns, row[3:])
+                if cell != ""
+            }
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: line {line_number}: {exc}") from None
         table.add_row(tuple(row[:3]), values)
     return table

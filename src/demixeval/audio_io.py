@@ -136,7 +136,6 @@ def read_wav(path) -> Waveform:
         raise CorruptFileError(
             f"{path}: data chunk declares {size} bytes but the file ends early"
         )
-    body = raw[start : start + size]
 
     if format_tag == _WAVE_PCM and bits == 16:
         bytes_per_sample = 2
@@ -154,21 +153,27 @@ def read_wav(path) -> Waveform:
     if size % frame_size != 0:
         raise CorruptFileError(f"{path}: data chunk holds a partial frame")
     num_frames = size // frame_size
+    count = num_frames * channels
 
-    if format_tag == _WAVE_PCM and bits == 16:
-        flat = np.frombuffer(body, dtype="<i2").astype(np.float64) / 32768.0
-    elif format_tag == _WAVE_PCM and bits == 24:
-        triples = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        values = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-        values = (values ^ 0x800000) - 0x800000  # sign-extend 24 bits
-        flat = values.astype(np.float64) / 8388608.0
+    # One pass from the file bytes into the de-interleaved output, then an
+    # in-place scale by a power of two, which is exact.
+    samples = np.empty((channels, num_frames))
+    if bytes_per_sample == 2:
+        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=start)
+        np.copyto(samples, ints.reshape(num_frames, channels).T)
+        samples *= 2.0**-15
+    elif bytes_per_sample == 3:
+        # Each sample as a little-endian int32 that starts one byte early;
+        # the shift drops that byte and sign-extends. The last word ends
+        # exactly at the end of the data chunk.
+        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=start - 1, strides=(3,))
+        np.right_shift(words.reshape(num_frames, channels).T, 8, out=samples)
+        samples *= 2.0**-23
     else:
-        floats = np.frombuffer(body, dtype="<f4")
+        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=start)
         if not np.all(np.isfinite(floats)):
             raise CorruptFileError(f"{path}: float data contains NaN or Inf")
-        flat = floats.astype(np.float64)
-
-    samples = np.ascontiguousarray(flat.reshape(num_frames, channels).T)
+        np.copyto(samples, floats.reshape(num_frames, channels).T)
     return Waveform(samples, int(sample_rate))
 
 
@@ -262,12 +267,6 @@ class DatasetManifest:
         """Songs that count for scoring (demo songs removed)."""
         return [s for s in self.songs if not s.is_demo]
 
-    def song(self, song_id: str) -> SongEntry:
-        for entry in self.songs:
-            if entry.song_id == song_id:
-                return entry
-        raise ManifestError(f"no song with id {song_id!r}")
-
 
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest.
@@ -321,7 +320,13 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"{path}: {exc}") from None
         songs.append(entry)
 
-    return DatasetManifest(tuple(songs), str(doc["name"]), int(doc["sample_rate"]))
+    try:
+        sample_rate = int(doc["sample_rate"])
+    except (TypeError, ValueError):
+        raise ManifestError(
+            f"{path}: sample_rate must be an integer, got {doc['sample_rate']!r}"
+        ) from None
+    return DatasetManifest(tuple(songs), str(doc["name"]), sample_rate)
 
 
 # mean-power threshold below which a stem counts as silent for warnings

@@ -135,13 +135,12 @@ def cmd_rank(args) -> int:
 
 
 def _oracle_task(task):
-    song_id, mixture_path, stem_paths, kind, cfg_args, out_root = task
+    song_id, mixture_path, stem_paths, kind, cfg, out_root = task
     mixture = read_wav(mixture_path)
     if kind == "baseline":
         estimates = oracle.mixture_baseline(mixture)
     else:
         references = {stem: read_wav(path) for stem, path in stem_paths.items()}
-        cfg = oracle.OracleConfig(fft_size=cfg_args["fft"], hop=cfg_args["hop"])
         if kind == "swf":
             estimates = oracle.ideal_swf(mixture, references, cfg)
         else:
@@ -155,6 +154,7 @@ def _oracle_task(task):
 
 def cmd_oracle(args) -> int:
     manifest = load_manifest(args.manifest)
+    cfg = oracle.OracleConfig(fft_size=args.fft, hop=args.hop)
     _print_config(
         "oracle",
         [
@@ -166,14 +166,13 @@ def cmd_oracle(args) -> int:
             ("jobs", args.jobs),
         ],
     )
-    cfg_args = {"fft": args.fft, "hop": args.hop}
     tasks = [
         (
             entry.song_id,
             entry.mixture_path,
             dict(entry.stem_paths),
             args.kind,
-            cfg_args,
+            cfg,
             args.out,
         )
         for entry in manifest.songs

@@ -384,31 +384,41 @@ def scores_to_document(
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
-    The result has keys system_id, leaderboard, rounds, scores.
+    The result has keys system_id, leaderboard, rounds, scores. A file that
+    is not a score document raises InvalidInputError.
     """
-    doc = json.loads(Path(path).read_text())
-    scores = []
-    for record in doc["scores"]:
-        values = {StemKind(name): value for name, value in record["per_stem"].items()}
-        excluded = {
-            StemKind(name): reason for name, reason in record.get("excluded_stems", {}).items()
-        }
-        scores.append(
-            SongScore(
-                song_id=record["song_id"],
-                per_stem=StemScores(values),
-                sdr_song=float(record["sdr_song"]),
-                excluded_stems=excluded,
-                excluded_song=bool(record.get("excluded_song", False)),
-                exclusion_reason=record.get("exclusion_reason", ""),
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        scores = []
+        for record in doc["scores"]:
+            values = {StemKind(name): value for name, value in record["per_stem"].items()}
+            excluded = {
+                StemKind(name): reason
+                for name, reason in record.get("excluded_stems", {}).items()
+            }
+            scores.append(
+                SongScore(
+                    song_id=record["song_id"],
+                    per_stem=StemScores(values),
+                    sdr_song=float(record["sdr_song"]),
+                    excluded_stems=excluded,
+                    excluded_song=bool(record.get("excluded_song", False)),
+                    exclusion_reason=record.get("exclusion_reason", ""),
+                )
             )
-        )
-    return {
-        "system_id": doc["system_id"],
-        "leaderboard": Leaderboard(doc["leaderboard"]),
-        "rounds": frozenset(doc.get("rounds", (1, 2, 3))),
-        "scores": scores,
-    }
+        return {
+            "system_id": doc["system_id"],
+            "leaderboard": Leaderboard(doc["leaderboard"]),
+            "rounds": frozenset(doc.get("rounds", (1, 2, 3))),
+            "scores": scores,
+        }
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: score document has no {exc} field") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed score document ({exc})") from None
 
 
 def leaderboard_to_csv(entries: Sequence[LeaderboardEntry]) -> str:

@@ -36,8 +36,11 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.fft_size < 4 or self.fft_size % 2 != 0:
             raise InvalidInputError("fft_size must be an even integer >= 4")
-        if not 1 <= self.hop <= self.fft_size:
-            raise InvalidInputError("hop must be in [1, fft_size]")
+        if not 1 <= self.hop <= self.fft_size // 2:
+            # past half a window the summed squared windows dip towards zero
+            # between frames (zero at hop == fft_size), where the overlap-add
+            # inverse amplifies errors or loses samples outright
+            raise InvalidInputError("hop must be in [1, fft_size // 2]")
         if self.mwf_regularization <= 0:
             raise InvalidInputError("mwf_regularization must be > 0")
         if self.mask_exponent <= 0:

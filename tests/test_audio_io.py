@@ -25,7 +25,7 @@ from demixeval.errors import (
     UnsupportedCodecError,
 )
 
-from helpers import write_float32_wav, write_pcm_wav
+from helpers import decode_wav_reference, write_float32_wav, write_pcm_wav
 
 
 class TestWaveform:
@@ -139,6 +139,82 @@ class TestReadWav:
         path = tmp_path / "nan.wav"
         data = np.full((4, 1), np.nan, dtype=np.float32)
         write_float32_wav(path, data, 8000)
+        with pytest.raises(CorruptFileError):
+            read_wav(path)
+
+
+class TestDecoderOracle:
+    """read_wav against the sample-by-sample reference decoder in helpers."""
+
+    LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        codec=st.sampled_from(["pcm16", "pcm24", "float32"]),
+        channels=st.integers(1, 3),
+        frames=st.integers(1, 40),
+        trailing_chunk=st.booleans(),
+        data=st.data(),
+    )
+    def test_bit_identical_to_reference(self, wav_dir, codec, channels, frames, trailing_chunk, data):
+        # odd PCM24 sizes get a pad byte; without a trailing chunk the data
+        # chunk (or its pad byte) ends the file
+        path = wav_dir / "oracle.wav"
+        trailer = self.LIST_CHUNK if trailing_chunk else b""
+        shape = (frames, channels)
+        if codec == "float32":
+            finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+            values = data.draw(hnp.arrays(np.float32, shape, elements=finite))
+            write_float32_wav(path, values, 8000, trailer)
+        else:
+            bits = 16 if codec == "pcm16" else 24
+            low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+            values = data.draw(
+                hnp.arrays(
+                    np.int64,
+                    shape,
+                    elements=st.sampled_from([low, high, -1, 0]) | st.integers(low, high),
+                )
+            )
+            values[0, 0] = low  # full-scale extremes, the last sample ending the chunk
+            values[-1, -1] = high
+            write_pcm_wav(path, values, bits, 8000, trailer)
+        decoded = read_wav(path).samples
+        expected = decode_wav_reference(path)
+        assert decoded.shape == (channels, frames)
+        assert decoded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "frames, channels, trailing_chunk",
+        [(2, 1, False), (3, 1, False), (3, 1, True), (5, 3, False), (4, 2, True)],
+    )
+    def test_pcm24_chunk_edges(self, tmp_path, frames, channels, trailing_chunk):
+        # odd sizes carry a pad byte; the first and last samples sit at the
+        # edges of the data chunk, the last one at the end of the file when
+        # nothing follows
+        values = np.arange(frames * channels, dtype=np.int64).reshape(frames, channels) - 3
+        values[0, 0] = -(1 << 23)
+        values[-1, -1] = (1 << 23) - 1
+        path = tmp_path / "edges.wav"
+        write_pcm_wav(path, values, 24, 8000, self.LIST_CHUNK if trailing_chunk else b"")
+        decoded = read_wav(path).samples
+        assert decoded.tobytes() == decode_wav_reference(path).tobytes()
+        assert np.array_equal(decoded, values.T / 2.0**23)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        channels=st.integers(1, 3),
+        frames=st.integers(1, 40),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    def test_non_finite_float_payload_rejected(self, wav_dir, channels, frames, bad, data):
+        values = np.zeros((frames, channels), dtype=np.float32)
+        row = data.draw(st.integers(0, frames - 1))
+        column = data.draw(st.integers(0, channels - 1))
+        values[row, column] = bad
+        path = wav_dir / "nonfinite.wav"
+        write_float32_wav(path, values, 8000, self.LIST_CHUNK)
         with pytest.raises(CorruptFileError):
             read_wav(path)
 

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -327,3 +328,54 @@ def test_score_parallel_jobs_match_serial(dataset, baseline_submission, tmp_path
         l for l in capsys.readouterr().out.split("\n") if not l.startswith("#")
     ]
     assert serial == parallel
+
+
+def _assert_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_oracle_rejects_hop_beyond_half_window(dataset, tmp_path, capsys):
+    args = [
+        "oracle",
+        "--manifest", str(dataset),
+        "--kind", "swf",
+        "--out", str(tmp_path / "swf"),
+        "--fft", "1024",
+        "--hop", "1024",
+        "--jobs", "1",
+    ]
+    assert run(args) == 1
+    _assert_error_line(capsys)
+    assert not (tmp_path / "swf").exists()
+
+
+def test_rank_score_document_without_scores(tmp_path, capsys):
+    path = tmp_path / "noscores.json"
+    path.write_text('{"system_id": "x", "leaderboard": "B"}')
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_error_line(capsys)
+
+
+def test_rank_non_json_file(tmp_path, capsys):
+    path = tmp_path / "notjson.json"
+    path.write_text("system_id,song_id\n")
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_error_line(capsys)
+
+
+def test_analyze_non_numeric_cell(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("system_id,song_id,stem,global_sdr\nsys,song0,bass,loud\n")
+    assert run(["analyze", "--table", str(path), "--kind", "pearson"]) == 1
+    _assert_error_line(capsys)
+
+
+def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
+    doc = json.loads(dataset.read_text())
+    doc["sample_rate"] = "abc"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert run(["plan", "--manifest", str(path), "--seed", "0"]) == 1
+    _assert_error_line(capsys)

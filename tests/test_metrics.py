@@ -23,6 +23,7 @@ from demixeval.metrics import (
     sdr_song,
     si_sdr,
 )
+from demixeval.metrics import _ENERGY_BLOCK, _energies
 
 from helpers import noise_waveform
 
@@ -83,6 +84,60 @@ class TestGlobalSdr:
                 Waveform(scale * ref.samples, 8000), Waveform(scale * est.samples, 8000)
             )
             assert scaled == base
+
+
+class TestEnergyReduction:
+    """The blocked SDR energy sums: stated tolerance and layout independence."""
+
+    @staticmethod
+    def fsum_energies(ref, est):
+        diff = ref - est
+        return math.fsum((ref * ref).ravel()), math.fsum((diff * diff).ravel())
+
+    def assert_within_tolerance(self, ref, est):
+        for got, exact in zip(_energies(ref, est), self.fsum_energies(ref, est)):
+            assert abs(got - exact) <= 1e-12 * exact
+
+    def test_random_signal_matches_fsum(self, rng):
+        ref = rng.standard_normal((2, 3 * _ENERGY_BLOCK + 1234))
+        est = ref + 0.1 * rng.standard_normal(ref.shape)
+        self.assert_within_tolerance(ref, est)
+
+    def test_high_dynamic_range_matches_fsum(self, rng):
+        # blocks alternate between 1e-6 and full scale
+        ref = rng.uniform(-1.0, 1.0, (2, 6 * _ENERGY_BLOCK))
+        est = ref + 1e-3 * rng.standard_normal(ref.shape)
+        for block in range(1, 6, 2):
+            span = slice(block * _ENERGY_BLOCK, (block + 1) * _ENERGY_BLOCK)
+            ref[:, span] *= 1e-6
+            est[:, span] *= 1e-6
+        self.assert_within_tolerance(ref, est)
+
+    def test_bits_independent_of_call_and_layout(self, rng):
+        frames = 2 * _ENERGY_BLOCK + 777
+        ref = rng.standard_normal((2, frames))
+        est = ref + 0.05 * rng.standard_normal(ref.shape)
+        strided = np.zeros((2, 2 * frames))
+        strided[:, ::2] = ref
+        strided_est = np.zeros((2, 2 * frames))
+        strided_est[:, ::2] = est
+        layouts = [
+            (ref, est),
+            (strided[:, ::2], strided_est[:, ::2]),
+            (np.asfortranarray(ref), np.asfortranarray(est)),
+        ]
+        expected = _energies(ref, est)
+        contiguous = Waveform(ref, 8000), Waveform(est, 8000)
+        sdr = global_sdr(*contiguous)
+        v3 = bsseval_v3_sdr(*contiguous)
+        whole = MetricConfig(frame_length=frames / 8000, hop_length=frames / 8000)
+        for r, e in layouts:
+            assert _energies(r, e) == expected
+            assert _energies(r, e) == expected  # repeated call
+            pair = Waveform(r, 8000), Waveform(e, 8000)
+            assert global_sdr(*pair) == sdr
+            assert bsseval_v3_sdr(*pair) == v3
+            assert framewise(MetricId.GLOBAL_SDR, *pair, whole) == sdr
 
 
 class TestMaeMse:

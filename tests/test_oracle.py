@@ -79,6 +79,13 @@ class TestStft:
         with pytest.raises(InvalidInputError):
             OracleConfig(covariance_frames=2)
 
+    def test_hop_beyond_half_window_rejected(self):
+        # at hop == fft_size the inverse silently loses samples
+        for hop in (513, 1000, 1024):
+            with pytest.raises(InvalidInputError):
+                OracleConfig(fft_size=1024, hop=hop)
+        assert OracleConfig(fft_size=1024, hop=512).hop == 512
+
 
 def _band_tone_stem(rng, frames, rate, low, high, pan):
     t = np.arange(frames) / rate
