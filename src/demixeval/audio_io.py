@@ -27,6 +27,9 @@ from .errors import (
 
 _WAVE_PCM = 1
 _WAVE_IEEE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+# KSDATAFORMAT_SUBTYPE_* GUIDs share these 14 bytes after their 2-byte format tag
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 class StemKind(Enum):
@@ -94,7 +97,9 @@ def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file into a Waveform.
 
     Supports PCM 16-bit, PCM 24-bit, and IEEE float 32-bit, any channel
-    count >= 1. PCM data is scaled by 2**(bits - 1).
+    count >= 1, under the plain format tag or WAVE_FORMAT_EXTENSIBLE with
+    the standard PCM or float SubFormat and all bits valid. PCM data is
+    scaled by 2**(bits - 1).
 
     Raises AudioFormatError for malformed headers, UnsupportedCodecError for
     other encodings, CorruptFileError for truncated data.
@@ -111,10 +116,18 @@ def read_wav(path) -> Waveform:
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
         body = pos + 8
+        if (chunk_id == b"fmt " and fmt) or (chunk_id == b"data" and data_span):
+            raise AudioFormatError(f"{path}: duplicate {chunk_id.decode()!r} chunk")
         if chunk_id == b"fmt ":
             if chunk_size < 16 or body + 16 > len(raw):
                 raise AudioFormatError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", raw, body)
+            if fmt[0] == _WAVE_EXTENSIBLE and chunk_size >= 40 and body + 40 <= len(raw):
+                (valid_bits,) = struct.unpack_from("<H", raw, body + 18)
+                guid = raw[body + 24 : body + 40]
+                if valid_bits == fmt[5] and guid[2:] == _SUBFORMAT_GUID_TAIL:
+                    # the GUID's first two bytes are the plain format tag
+                    fmt = struct.unpack_from("<H", guid) + fmt[1:]
         elif chunk_id == b"data":
             data_span = (body, chunk_size)
         # chunks are word aligned
@@ -185,23 +198,24 @@ def write_wav(waveform: Waveform, path) -> None:
     """
     if waveform.num_frames == 0:
         raise InvalidInputError("refusing to write a waveform with zero frames")
-    path = Path(path)
-    interleaved = np.ascontiguousarray(waveform.samples.T, dtype=np.float32)
-    data = interleaved.tobytes()
+    interleaved = np.ascontiguousarray(waveform.samples.T, dtype="<f4")
     channels = waveform.num_channels
     rate = waveform.sample_rate
     fmt_body = struct.pack(
         "<HHIIHH", _WAVE_IEEE_FLOAT, channels, rate, rate * channels * 4, channels * 4, 32
     )
     fact_body = struct.pack("<I", waveform.num_frames)
-    payload = b"".join(
+    header = b"".join(
         [
             b"fmt ", struct.pack("<I", len(fmt_body)), fmt_body,
             b"fact", struct.pack("<I", len(fact_body)), fact_body,
-            b"data", struct.pack("<I", len(data)), data,
+            b"data", struct.pack("<I", interleaved.nbytes),
         ]
     )
-    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload)
+    riff = b"RIFF" + struct.pack("<I", 4 + len(header) + interleaved.nbytes) + b"WAVE"
+    with open(path, "wb") as handle:
+        handle.write(riff + header)
+        handle.write(interleaved.data)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,11 @@ def cmd_rank(args) -> int:
         )
     else:
         board = next(iter(boards))
+    for field in ("epsilon", "seed"):
+        values = sorted({doc[field] for doc in documents})
+        if len(values) > 1:
+            # a different stabilizer or round plan makes the scores incomparable
+            raise InvalidInputError(f"score files disagree on {field}: {values}")
     results = {}
     rounds = set()
     for doc in documents:

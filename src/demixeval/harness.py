@@ -384,8 +384,8 @@ def scores_to_document(
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
-    The result has keys system_id, leaderboard, rounds, scores. A file that
-    is not a score document raises InvalidInputError.
+    The result has keys system_id, leaderboard, rounds, seed, epsilon,
+    scores. A file that is not a score document raises InvalidInputError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -413,6 +413,8 @@ def load_score_document(path) -> dict:
             "system_id": doc["system_id"],
             "leaderboard": Leaderboard(doc["leaderboard"]),
             "rounds": frozenset(doc.get("rounds", (1, 2, 3))),
+            "seed": int(doc["seed"]),
+            "epsilon": float(doc["epsilon"]),
             "scores": scores,
         }
     except KeyError as exc:

@@ -1,6 +1,7 @@
 """Shared test helpers, including independent WAV writers used as oracles."""
 
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,22 @@ def noise_waveform(rng, channels=2, frames=4000, rate=8000, scale=0.1):
     return Waveform(scale * rng.standard_normal((channels, frames)), rate)
 
 
-def write_pcm_wav(path, samples, bits, rate, trailer=b""):
+def _fmt_body(tag, channels, rate, bits, extensible):
+    """fmt chunk body; extensible moves the tag into a WAVE_FORMAT_EXTENSIBLE GUID."""
+    align = channels * bits // 8
+    if not extensible:
+        return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    # KSDATAFORMAT_SUBTYPE_PCM / _IEEE_FLOAT: 0000000t-0000-0010-8000-00aa00389b71
+    guid = uuid.UUID(f"{tag:08x}-0000-0010-8000-00aa00389b71").bytes_le
+    return struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * align, align, bits, 22, bits, 0) + guid
+
+
+def write_pcm_wav(path, samples, bits, rate, trailer=b"", extensible=False):
     """Write integer PCM WAV bytes by hand, independent of the package writer.
 
     samples: int array shaped (frames, channels), already in PCM range.
     trailer: raw chunk bytes placed after the data chunk and its pad byte.
+    extensible: write a 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk.
     """
     frames, channels = samples.shape
     if bits == 16:
@@ -30,10 +42,7 @@ def write_pcm_wav(path, samples, bits, rate, trailer=b""):
         body = bytes(raw)
     else:
         raise ValueError(bits)
-    bytes_per = bits // 8
-    fmt = struct.pack(
-        "<HHIIHH", 1, channels, rate, rate * channels * bytes_per, channels * bytes_per, bits
-    )
+    fmt = _fmt_body(1, channels, rate, bits, extensible)
     payload = b"".join(
         [
             b"fmt ", struct.pack("<I", len(fmt)), fmt,
@@ -46,14 +55,15 @@ def write_pcm_wav(path, samples, bits, rate, trailer=b""):
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload)
 
 
-def write_float32_wav(path, samples, rate, trailer=b""):
+def write_float32_wav(path, samples, rate, trailer=b"", extensible=False):
     """Hand-built IEEE float32 WAV; samples shaped (frames, channels).
 
     trailer: raw chunk bytes placed after the data chunk.
+    extensible: write a 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk.
     """
     frames, channels = samples.shape
     body = samples.astype("<f4").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * channels * 4, channels * 4, 32)
+    fmt = _fmt_body(3, channels, rate, 32, extensible)
     payload = b"".join(
         [
             b"fmt ", struct.pack("<I", len(fmt)), fmt,
@@ -68,7 +78,9 @@ def decode_wav_reference(path):
 
     An independent oracle for read_wav: integer PCM is divided by
     2**(bits - 1) in exact integer/float arithmetic, float32 is unpacked
-    as-is. Returns float64 samples shaped (channels, frames).
+    as-is. WAVE_FORMAT_EXTENSIBLE files take their format tag from the
+    first two bytes of the SubFormat GUID. Returns float64 samples shaped
+    (channels, frames).
     """
     raw = Path(path).read_bytes()
     fmt = data = None
@@ -77,6 +89,8 @@ def decode_wav_reference(path):
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         if raw[pos : pos + 4] == b"fmt ":
             fmt = struct.unpack_from("<HHIIHH", raw, pos + 8)
+            if fmt[0] == 0xFFFE:
+                fmt = struct.unpack_from("<H", raw, pos + 8 + 24) + fmt[1:]
         elif raw[pos : pos + 4] == b"data":
             data = raw[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)
@@ -94,3 +108,69 @@ def decode_wav_reference(path):
 
 def energy(waveform):
     return float(np.sum(waveform.samples * waveform.samples))
+
+
+def _hann(length):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+
+
+def stft_reference(samples, fft_size, hop):
+    """stft one frame at a time, rfft along the last axis; (channels, bins, frames)."""
+    channels, frames = samples.shape
+    n_frames = 1 + int(np.ceil((frames + fft_size) / hop))
+    padded = np.zeros((channels, (n_frames - 1) * hop + fft_size))
+    padded[:, fft_size : fft_size + frames] = samples
+    window = _hann(fft_size)
+    spectra = [
+        np.fft.rfft(padded[:, i * hop : i * hop + fft_size] * window, axis=-1)
+        for i in range(n_frames)
+    ]
+    return np.stack(spectra, axis=-1)
+
+
+def istft_reference(bins, fft_size, hop, signal_length):
+    """Weighted overlap-add inverse as a loop over frames; (channels, signal_length)."""
+    channels, _, n_frames = bins.shape
+    window = _hann(fft_size)
+    accumulated = np.zeros((channels, (n_frames - 1) * hop + fft_size))
+    weight = np.zeros(accumulated.shape[1])
+    for i in range(n_frames):
+        frame = np.fft.irfft(bins[:, :, i], n=fft_size, axis=-1) * window
+        accumulated[:, i * hop : i * hop + fft_size] += frame
+        weight[i * hop : i * hop + fft_size] += window * window
+    np.maximum(weight, np.finfo(np.float64).tiny, out=weight)
+    return (accumulated / weight)[:, fft_size : fft_size + signal_length]
+
+
+def mwf_reference(mixture, references, cfg):
+    """Multichannel Wiener oracle with full complex 2x2 matrices and np.linalg.inv.
+
+    Per bin: R_k = S_k S_k^H averaged over cfg.covariance_frames frames,
+    W_k = R_k (sum_j R_j + lambda I)^-1 with lambda = reg * trace / 2 + eps,
+    estimate_k = W_k X. Returns {kind: samples}.
+    """
+    fft_size, hop = cfg.fft_size, cfg.hop
+    mix = stft_reference(mixture.samples, fft_size, hop)
+    half = cfg.covariance_frames // 2
+    covariances = {}
+    for kind, stem in references.items():
+        spec = stft_reference(stem.samples, fft_size, hop)
+        instant = np.einsum("aft,bft->ftab", spec, spec.conj())
+        frames = instant.shape[1]
+        covariances[kind] = np.stack(
+            [instant[:, max(t - half, 0) : t + half + 1].mean(axis=1) for t in range(frames)],
+            axis=1,
+        )
+    total = sum(covariances.values())
+    trace = np.real(total[..., 0, 0] + total[..., 1, 1])
+    lam = cfg.mwf_regularization * trace / 2.0 + np.finfo(np.float64).eps
+    inverse = np.linalg.inv(total + lam[..., None, None] * np.eye(2))
+    return {
+        kind: istft_reference(
+            np.einsum("ftab,bft->aft", covariance @ inverse, mix),
+            fft_size,
+            hop,
+            mixture.num_frames,
+        )
+        for kind, covariance in covariances.items()
+    }

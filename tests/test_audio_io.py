@@ -20,6 +20,7 @@ from demixeval.audio_io import (
 from demixeval.errors import (
     AudioFormatError,
     CorruptFileError,
+    DemixEvalError,
     InvalidInputError,
     ManifestError,
     UnsupportedCodecError,
@@ -154,9 +155,12 @@ class TestDecoderOracle:
         channels=st.integers(1, 3),
         frames=st.integers(1, 40),
         trailing_chunk=st.booleans(),
+        extensible=st.booleans(),
         data=st.data(),
     )
-    def test_bit_identical_to_reference(self, wav_dir, codec, channels, frames, trailing_chunk, data):
+    def test_bit_identical_to_reference(
+        self, wav_dir, codec, channels, frames, trailing_chunk, extensible, data
+    ):
         # odd PCM24 sizes get a pad byte; without a trailing chunk the data
         # chunk (or its pad byte) ends the file
         path = wav_dir / "oracle.wav"
@@ -165,7 +169,7 @@ class TestDecoderOracle:
         if codec == "float32":
             finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
             values = data.draw(hnp.arrays(np.float32, shape, elements=finite))
-            write_float32_wav(path, values, 8000, trailer)
+            write_float32_wav(path, values, 8000, trailer, extensible)
         else:
             bits = 16 if codec == "pcm16" else 24
             low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
@@ -178,7 +182,7 @@ class TestDecoderOracle:
             )
             values[0, 0] = low  # full-scale extremes, the last sample ending the chunk
             values[-1, -1] = high
-            write_pcm_wav(path, values, bits, 8000, trailer)
+            write_pcm_wav(path, values, bits, 8000, trailer, extensible)
         decoded = read_wav(path).samples
         expected = decode_wav_reference(path)
         assert decoded.shape == (channels, frames)
@@ -219,7 +223,102 @@ class TestDecoderOracle:
             read_wav(path)
 
 
+class TestExtensibleRejects:
+    """WAVE_FORMAT_EXTENSIBLE is read only with a known SubFormat and all bits valid."""
+
+    FMT = 20  # offset of the fmt chunk body in the hand-built files
+
+    def _patched(self, tmp_path, offset, value):
+        path = tmp_path / "ext.wav"
+        write_pcm_wav(path, np.array([[1, -1]], dtype=np.int64), 24, 8000, extensible=True)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        return path
+
+    def test_fewer_valid_bits_rejected(self, tmp_path):
+        path = self._patched(tmp_path, self.FMT + 18, struct.pack("<H", 20))
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+
+    def test_unknown_subformat_rejected(self, tmp_path):
+        # ADPCM (2) under the standard GUID tail, then a foreign GUID tail
+        path = self._patched(tmp_path, self.FMT + 24, struct.pack("<H", 2))
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+        path = self._patched(tmp_path, self.FMT + 39, b"\x00")
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+
+    def test_short_extensible_fmt_rejected(self, tmp_path):
+        path = tmp_path / "short.wav"
+        fmt = struct.pack("<HHIIHHH", 0xFFFE, 1, 8000, 16000, 2, 16, 0)
+        payload = (
+            b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 2) + b"\x00\x00"
+        )
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload)
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+
+
+class TestRiffFuzz:
+    """Truncated and duplicated chunks end in a package error, never another exception."""
+
+    LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+    def _write(self, path, codec, extensible):
+        values = np.array([[-3, 5], [7, -11], [13, 0]], dtype=np.int64)
+        if codec == "float32":
+            write_float32_wav(path, values / 16.0, 8000, self.LIST_CHUNK, extensible=extensible)
+        else:
+            bits = 16 if codec == "pcm16" else 24
+            write_pcm_wav(path, values, bits, 8000, self.LIST_CHUNK, extensible=extensible)
+
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("codec", ["pcm16", "pcm24", "float32"])
+    def test_every_prefix_decodes_or_raises_package_error(self, tmp_path, codec, extensible):
+        path = tmp_path / "full.wav"
+        self._write(path, codec, extensible)
+        raw = path.read_bytes()
+        assert read_wav(path).samples.tobytes() == decode_wav_reference(path).tobytes()
+        prefix = tmp_path / "prefix.wav"
+        for end in range(len(raw)):
+            prefix.write_bytes(raw[:end])
+            try:
+                read_wav(prefix)
+            except DemixEvalError:
+                pass
+
+    @pytest.mark.parametrize("chunk", [b"fmt ", b"data"])
+    def test_second_chunk_rejected(self, tmp_path, chunk):
+        path = tmp_path / "twice.wav"
+        self._write(path, "pcm16", False)
+        raw = path.read_bytes()
+        start = raw.index(chunk)
+        (size,) = struct.unpack_from("<I", raw, start + 4)
+        copy = raw[start : start + 8 + size + (size & 1)]
+        path.write_bytes(raw + copy)
+        with pytest.raises(AudioFormatError, match="duplicate"):
+            read_wav(path)
+
+
 class TestWriteWav:
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_bytes_match_hand_built_file(self, tmp_path, rng, channels):
+        samples = rng.uniform(-1.0, 1.0, size=(channels, 37))
+        path = tmp_path / "out.wav"
+        write_wav(Waveform(samples, 22050), path)
+        body = samples.T.astype("<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, channels, 22050, 22050 * channels * 4, channels * 4, 32)
+        payload = (
+            b"fmt " + struct.pack("<I", 16) + fmt
+            + b"fact" + struct.pack("<II", 4, 37)
+            + b"data" + struct.pack("<I", len(body)) + body
+        )
+        expected = b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload
+        assert path.read_bytes() == expected
+
     def test_single_value(self, tmp_path):
         path = tmp_path / "half.wav"
         write_wav(Waveform(np.full((2, 1), 0.5), 44100), path)

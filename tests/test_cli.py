@@ -379,3 +379,33 @@ def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["plan", "--manifest", str(path), "--seed", "0"]) == 1
     _assert_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, values", [("--epsilon", ("1e-7", "1e-5")), ("--seed", ("4", "5"))])
+def test_rank_refuses_documents_scored_differently(
+    dataset, baseline_submission, tmp_path, capsys, flag, values
+):
+    paths = []
+    for index, value in enumerate(values):
+        system = f"sys_{index}"
+        args = [
+            "score",
+            "--manifest", str(dataset),
+            "--estimates", str(baseline_submission),
+            "--system", system,
+            "--leaderboard", "B",
+            "--training-data", "none",
+            "--jobs", "1",
+            "--out", str(tmp_path / system),
+            flag, value,
+        ]
+        if flag != "--seed":
+            args += ["--seed", "4"]
+        assert run(args) == 0
+        paths.append(str(tmp_path / f"{system}.json"))
+    capsys.readouterr()
+    assert run(["rank", "--scores", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: score files disagree on {flag[2:]}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

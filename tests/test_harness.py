@@ -390,6 +390,27 @@ class TestSerialization:
         assert loaded["rounds"] == frozenset({1, 2})
         assert loaded["scores"] == scores
 
+    def _document(self, tmp_path, **fields):
+        """A score document file with `fields` overridden; a None field is left out."""
+        submission = SubmissionDescriptor("sys", Leaderboard.B, "extra", tmp_path)
+        document = scores_to_document(
+            submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig(epsilon=1e-5)
+        )
+        document.update(fields)
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps({k: v for k, v in document.items() if v is not None}))
+        return path
+
+    def test_document_keeps_epsilon(self, tmp_path):
+        assert load_score_document(self._document(tmp_path))["epsilon"] == 1e-5
+        with pytest.raises(InvalidInputError):
+            load_score_document(self._document(tmp_path, epsilon=None))
+
+    def test_document_keeps_seed(self, tmp_path):
+        assert load_score_document(self._document(tmp_path))["seed"] == 7
+        with pytest.raises(InvalidInputError):
+            load_score_document(self._document(tmp_path, seed="seven"))
+
     def test_leaderboard_csv_three_decimals(self):
         entry = LeaderboardEntry(
             rank=1,

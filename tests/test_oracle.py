@@ -16,6 +16,8 @@ from demixeval.oracle import (
 )
 from demixeval.synth import make_song
 
+from helpers import istft_reference, mwf_reference, stft_reference
+
 CFG = OracleConfig(fft_size=1024, hop=256)
 
 
@@ -215,6 +217,52 @@ class TestIdealMwf:
             sdr = global_sdr(song["stems"][kind], estimates[kind])
             assert np.isfinite(sdr)
             assert sdr > 0.0
+
+
+class TestReferences:
+    """The vectorized kernels against direct per-frame and per-bin references."""
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("hop", [256, 300, 512])
+    def test_stft_and_istft_exact(self, rng, channels, hop):
+        cfg = OracleConfig(fft_size=1024, hop=hop)
+        w = Waveform(0.3 * rng.standard_normal((channels, 5001)), 8000)
+        spec = stft(w, cfg)
+        expected = stft_reference(w.samples, 1024, hop)
+        assert spec.bins.shape == expected.shape
+        assert spec.bins.tobytes() == expected.tobytes()
+        modified = spec.bins * (0.5 - 0.25j)
+        back = istft(spec.with_bins(modified)).samples
+        assert back.tobytes() == istft_reference(modified, 1024, hop, 5001).tobytes()
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [{}, {"covariance_frames": 3}, {"fft_size": 1024, "hop": 300}],
+    )
+    @pytest.mark.parametrize("regularization, tolerance", [(1e-10, 1e-7), (1e-3, 1e-12)])
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_mwf_within_stated_tolerance(self, geometry, regularization, tolerance, delayed):
+        stems = make_song(3, duration=1.5, sample_rate=8000)["stems"]
+        if delayed:
+            # inter-channel delays make L conj(R) complex; pure panning keeps it real
+            stems = {
+                kind: Waveform(np.vstack([w.samples[0], np.roll(w.samples[1], 1 + 2 * i)]), 8000)
+                for i, (kind, w) in enumerate(stems.items())
+            }
+        mixture = Waveform(sum(w.samples for w in stems.values()), 8000)
+        cfg = OracleConfig(mwf_regularization=regularization, **geometry)
+        estimates = ideal_mwf(mixture, stems, cfg)
+        expected = mwf_reference(mixture, stems, cfg)
+        bound = tolerance * np.max(np.abs(mixture.samples))
+        for kind in StemKind:
+            assert np.max(np.abs(estimates[kind].samples - expected[kind])) <= bound
+
+    def test_with_bins_checks_shape_and_istft_rejects_non_finite(self, rng):
+        spec = stft(Waveform(rng.standard_normal((2, 3000)), 8000), CFG)
+        with pytest.raises(InvalidInputError):
+            spec.with_bins(spec.bins[:, :-1])
+        with pytest.raises(InvalidInputError):
+            istft(spec.with_bins(np.full_like(spec.bins, np.nan)))
 
 
 class TestMixtureBaseline:
