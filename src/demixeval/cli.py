@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,6 +37,8 @@ def _parse_rounds(text: str) -> set:
 
 
 def cmd_validate(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise InvalidInputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     manifest = load_manifest(args.manifest)
     _print_config(
         "validate",
@@ -140,21 +142,21 @@ def cmd_rank(args) -> int:
 
 
 def _oracle_task(task):
-    song_id, mixture_path, stem_paths, kind, cfg, out_root = task
-    mixture = read_wav(mixture_path)
+    entry, kind, cfg, out_root = task
+    mixture = read_wav(entry.mixture_path)
     if kind == "baseline":
         estimates = oracle.mixture_baseline(mixture)
     else:
-        references = {stem: read_wav(path) for stem, path in stem_paths.items()}
+        references = {stem: read_wav(path) for stem, path in entry.stem_paths.items()}
         if kind == "swf":
             estimates = oracle.ideal_swf(mixture, references, cfg)
         else:
             estimates = oracle.ideal_mwf(mixture, references, cfg)
-    song_dir = Path(out_root) / song_id
+    song_dir = Path(out_root) / entry.song_id
     song_dir.mkdir(parents=True, exist_ok=True)
     for stem, waveform in estimates.items():
         write_wav(waveform, song_dir / f"{stem.value}.wav")
-    return song_id
+    return entry.song_id
 
 
 def cmd_oracle(args) -> int:
@@ -171,24 +173,9 @@ def cmd_oracle(args) -> int:
             ("jobs", args.jobs),
         ],
     )
-    tasks = [
-        (
-            entry.song_id,
-            entry.mixture_path,
-            dict(entry.stem_paths),
-            args.kind,
-            cfg,
-            args.out,
-        )
-        for entry in manifest.songs
-    ]
-    if args.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=args.jobs) as pool:
-            for song_id in pool.imap(_oracle_task, tasks):
-                print(f"wrote {song_id}")
-    else:
-        for task in tasks:
-            print(f"wrote {_oracle_task(task)}")
+    tasks = [(entry, args.kind, cfg, args.out) for entry in manifest.songs]
+    for song_id in harness.fan_out(_oracle_task, tasks, args.jobs):
+        print(f"wrote {song_id}")
     return 0
 
 
@@ -216,6 +203,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise InvalidInputError(f"--threshold must be finite, got {args.threshold}")
     table = analysis.read_metric_table_csv(args.table)
     kind = analysis.CorrelationKind(args.kind)
     matrix = analysis.correlation_matrix(table, kind)

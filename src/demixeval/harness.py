@@ -91,10 +91,6 @@ class RoundPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "round_assignment", dict(self.round_assignment))
 
-    def songs_in(self, rounds) -> set:
-        wanted = set(rounds)
-        return {sid for sid, rnd in self.round_assignment.items() if rnd in wanted}
-
 
 @dataclass(frozen=True)
 class LeaderboardEntry:
@@ -162,6 +158,20 @@ def score_song(
     )
 
 
+def fan_out(func, tasks, jobs: int) -> list:
+    """[func(task) for task in tasks], over min(jobs, len(tasks)) worker processes.
+
+    Results keep the task order. With one worker the tasks run in this process.
+    """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [func(task) for task in tasks]
+    with multiprocessing.Pool(processes=workers) as pool:
+        return list(pool.imap(func, tasks, chunksize=1))
+
+
 def _score_task(task):
     entry, root, cfg = task
     try:
@@ -213,12 +223,7 @@ def evaluate_submission(
         )
 
     tasks = [(song, submission.estimates_root, cfg) for song in selected]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            outcomes = pool.map(_score_task, tasks)
-    else:
-        outcomes = [_score_task(task) for task in tasks]
-
+    outcomes = fan_out(_score_task, tasks, jobs)
     failures = [(song_id, error) for song_id, _, error in outcomes if error is not None]
     if failures:
         raise EvaluationError(

@@ -21,7 +21,7 @@ layout or the thread count, so scores are bit-identical across runs and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -59,20 +59,21 @@ class MetricConfig:
     silent_frame_energy_floor: float = DEFAULT_ENERGY_FLOOR
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be > 0")
-        if self.frame_length is not None and self.frame_length <= 0:
-            raise InvalidInputError("frame_length must be > 0 when given")
-        if self.hop_length is not None and self.hop_length <= 0:
-            raise InvalidInputError("hop_length must be > 0 when given")
+        # NaN fails every comparison, so each check states what must hold
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidInputError("epsilon must be finite and > 0")
+        if self.frame_length is not None and not 0 < self.frame_length < math.inf:
+            raise InvalidInputError("frame_length must be finite and > 0 when given")
+        if self.hop_length is not None and not 0 < self.hop_length < math.inf:
+            raise InvalidInputError("hop_length must be finite and > 0 when given")
         if (
             self.frame_length is not None
             and self.hop_length is not None
             and self.hop_length > self.frame_length
         ):
             raise InvalidInputError("hop_length must not exceed frame_length")
-        if self.silent_frame_energy_floor < 0:
-            raise InvalidInputError("silent_frame_energy_floor must be >= 0")
+        if not 0 <= self.silent_frame_energy_floor < math.inf:
+            raise InvalidInputError("silent_frame_energy_floor must be finite and >= 0")
 
 
 class MetricId(Enum):
@@ -103,47 +104,6 @@ class MetricId(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class SuiteEntry:
-    """How one MetricId is evaluated inside metric_suite."""
-
-    base: "MetricId"  # underlying global metric
-    frame_length: Optional[float] = None  # seconds; None means global
-    hop_length: Optional[float] = None
-    aggregation: Optional[Aggregation] = None
-
-
-SUITE_DEFINITIONS: Mapping[MetricId, SuiteEntry] = {
-    MetricId.GLOBAL_SDR: SuiteEntry(MetricId.GLOBAL_SDR),
-    MetricId.FRAMEWISE_SDR_MEAN: SuiteEntry(MetricId.GLOBAL_SDR, 1.0, 1.0, Aggregation.MEAN),
-    MetricId.FRAMEWISE_SDR_MEDIAN: SuiteEntry(MetricId.GLOBAL_SDR, 1.0, 1.0, Aggregation.MEDIAN),
-    MetricId.GLOBAL_MAE: SuiteEntry(MetricId.GLOBAL_MAE),
-    MetricId.FRAMEWISE_MAE_MEAN: SuiteEntry(MetricId.GLOBAL_MAE, 1.0, 1.0, Aggregation.MEAN),
-    MetricId.FRAMEWISE_MAE_MEDIAN: SuiteEntry(MetricId.GLOBAL_MAE, 1.0, 1.0, Aggregation.MEDIAN),
-    MetricId.GLOBAL_MSE: SuiteEntry(MetricId.GLOBAL_MSE),
-    MetricId.FRAMEWISE_MSE_MEAN: SuiteEntry(MetricId.GLOBAL_MSE, 1.0, 1.0, Aggregation.MEAN),
-    MetricId.FRAMEWISE_MSE_MEDIAN: SuiteEntry(MetricId.GLOBAL_MSE, 1.0, 1.0, Aggregation.MEDIAN),
-    MetricId.GLOBAL_SI_SDR: SuiteEntry(MetricId.GLOBAL_SI_SDR),
-    MetricId.FRAMEWISE_SI_SDR_MEAN: SuiteEntry(MetricId.GLOBAL_SI_SDR, 1.0, 1.0, Aggregation.MEAN),
-    MetricId.FRAMEWISE_SI_SDR_MEDIAN: SuiteEntry(
-        MetricId.GLOBAL_SI_SDR, 1.0, 1.0, Aggregation.MEDIAN
-    ),
-    MetricId.BSSEVAL_V3_SDR: SuiteEntry(MetricId.BSSEVAL_V3_SDR),
-    MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEAN: SuiteEntry(
-        MetricId.BSSEVAL_V3_SDR, 30.0, 15.0, Aggregation.MEAN
-    ),
-    MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEDIAN: SuiteEntry(
-        MetricId.BSSEVAL_V3_SDR, 30.0, 15.0, Aggregation.MEDIAN
-    ),
-    MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEAN: SuiteEntry(
-        MetricId.BSSEVAL_V3_SDR, 1.0, 1.0, Aggregation.MEAN
-    ),
-    MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEDIAN: SuiteEntry(
-        MetricId.BSSEVAL_V3_SDR, 1.0, 1.0, Aggregation.MEDIAN
-    ),
-}
 
 
 def _check_pair(reference: Waveform, estimate: Waveform) -> None:
@@ -279,6 +239,44 @@ def bsseval_v3_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = 
     return _bsseval_v3_arrays(reference.samples, estimate.samples, cfg)
 
 
+def _frame_values(
+    metric: MetricId, reference: Waveform, estimate: Waveform, cfg: MetricConfig,
+    frame_length: float, hop_length: float,
+) -> list:
+    """The surviving per-frame values of `metric`, in frame order (see framewise)."""
+    rate = reference.sample_rate
+    frame = int(round(frame_length * rate))
+    hop = int(round(hop_length * rate))
+    if frame <= 0 or hop <= 0:
+        raise InvalidInputError("frame and hop must be at least one sample")
+    total = reference.num_frames
+    if total < frame:
+        raise InvalidInputError(
+            f"signal of {total} frames is shorter than one {frame}-frame window"
+        )
+    evaluate = _ARRAY_EVALUATORS[metric]
+    ref = reference.samples
+    est = estimate.samples
+    values = []
+    for start in range(0, total - frame + 1, hop):
+        ref_slice = ref[:, start : start + frame]
+        if float(np.sum(ref_slice * ref_slice)) <= cfg.silent_frame_energy_floor:
+            continue
+        try:
+            values.append(evaluate(ref_slice, est[:, start : start + frame], cfg))
+        except UndefinedMetricError:
+            continue
+    if not values:
+        raise UndefinedMetricError("no frame produced a defined value")
+    return values
+
+
+def _aggregate(values: list, aggregation: Aggregation) -> float:
+    if aggregation is Aggregation.MEAN:
+        return sum(values) / len(values)
+    return float(np.median(values))
+
+
 def framewise(
     metric: MetricId,
     reference: Waveform,
@@ -300,68 +298,46 @@ def framewise(
         raise InvalidInputError(f"{metric} is not a global metric id")
     if cfg.frame_length is None or cfg.hop_length is None:
         raise InvalidInputError("framewise evaluation needs frame_length and hop_length")
-    rate = reference.sample_rate
-    frame = int(round(cfg.frame_length * rate))
-    hop = int(round(cfg.hop_length * rate))
-    if frame <= 0 or hop <= 0:
-        raise InvalidInputError("frame and hop must be at least one sample")
-    total = reference.num_frames
-    if total < frame:
-        raise InvalidInputError(
-            f"signal of {total} frames is shorter than one {frame}-frame window"
-        )
-
-    evaluate = _ARRAY_EVALUATORS[metric]
-    ref = reference.samples
-    est = estimate.samples
-    values = []
-    for start in range(0, total - frame + 1, hop):
-        ref_slice = ref[:, start : start + frame]
-        if float(np.sum(ref_slice * ref_slice)) <= cfg.silent_frame_energy_floor:
-            continue
-        try:
-            values.append(evaluate(ref_slice, est[:, start : start + frame], cfg))
-        except UndefinedMetricError:
-            continue
-    if not values:
-        raise UndefinedMetricError("no frame produced a defined value")
-    if cfg.aggregation is Aggregation.MEAN:
-        return sum(values) / len(values)
-    return float(np.median(values))
+    values = _frame_values(metric, reference, estimate, cfg, cfg.frame_length, cfg.hop_length)
+    return _aggregate(values, cfg.aggregation)
 
 
-def metric_suite(
-    reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()
-) -> dict:
+# (base metric, frame s, hop s, mean id, median id): one per-frame series each
+_FRAMEWISE_SERIES = (
+    (MetricId.GLOBAL_SDR, 1.0, 1.0, MetricId.FRAMEWISE_SDR_MEAN, MetricId.FRAMEWISE_SDR_MEDIAN),
+    (MetricId.GLOBAL_MAE, 1.0, 1.0, MetricId.FRAMEWISE_MAE_MEAN, MetricId.FRAMEWISE_MAE_MEDIAN),
+    (MetricId.GLOBAL_MSE, 1.0, 1.0, MetricId.FRAMEWISE_MSE_MEAN, MetricId.FRAMEWISE_MSE_MEDIAN),
+    (MetricId.GLOBAL_SI_SDR, 1.0, 1.0, MetricId.FRAMEWISE_SI_SDR_MEAN, MetricId.FRAMEWISE_SI_SDR_MEDIAN),
+    (MetricId.BSSEVAL_V3_SDR, 30.0, 15.0,
+     MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEAN, MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEDIAN),
+    (MetricId.BSSEVAL_V3_SDR, 1.0, 1.0,
+     MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEAN, MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEDIAN),
+)
+
+
+def metric_suite(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> dict:
     """Evaluate the whole comparison family on one pair.
 
-    Returns {MetricId: value}. Metrics that are undefined for this pair, or
-    whose frame is longer than the signal, are absent from the result rather
-    than reported as numbers.
+    Returns {MetricId: value} in MetricId order. Each framewise series is
+    computed once and reported as both its mean and its median. Metrics that
+    are undefined for this pair, or whose frame is longer than the signal,
+    are absent from the result rather than reported as numbers.
     """
     _check_pair(reference, estimate)
     results = {}
-    for metric_id in MetricId:
-        entry = SUITE_DEFINITIONS[metric_id]
-        if entry.frame_length is None:
-            try:
-                results[metric_id] = _ARRAY_EVALUATORS[entry.base](
-                    reference.samples, estimate.samples, cfg
-                )
-            except UndefinedMetricError:
-                continue
-        else:
-            frame_cfg = replace(
-                cfg,
-                frame_length=entry.frame_length,
-                hop_length=entry.hop_length,
-                aggregation=entry.aggregation,
-            )
-            try:
-                results[metric_id] = framewise(entry.base, reference, estimate, frame_cfg)
-            except (UndefinedMetricError, InvalidInputError):
-                continue
-    return results
+    for metric_id, evaluate in _ARRAY_EVALUATORS.items():
+        try:
+            results[metric_id] = evaluate(reference.samples, estimate.samples, cfg)
+        except UndefinedMetricError:
+            continue
+    for base, frame_length, hop_length, mean_id, median_id in _FRAMEWISE_SERIES:
+        try:
+            values = _frame_values(base, reference, estimate, cfg, frame_length, hop_length)
+        except (UndefinedMetricError, InvalidInputError):
+            continue
+        results[mean_id] = _aggregate(values, Aggregation.MEAN)
+        results[median_id] = _aggregate(values, Aggregation.MEDIAN)
+    return {metric_id: results[metric_id] for metric_id in MetricId if metric_id in results}
 
 
 @dataclass(frozen=True)

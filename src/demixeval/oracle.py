@@ -47,10 +47,10 @@ class OracleConfig:
             # between frames (zero at hop == fft_size), where the overlap-add
             # inverse amplifies errors or loses samples outright
             raise InvalidInputError("hop must be in [1, fft_size // 2]")
-        if self.mwf_regularization <= 0:
-            raise InvalidInputError("mwf_regularization must be > 0")
-        if self.mask_exponent <= 0:
-            raise InvalidInputError("mask_exponent must be > 0")
+        if not 0 < self.mwf_regularization < np.inf:  # NaN fails the comparison too
+            raise InvalidInputError("mwf_regularization must be finite and > 0")
+        if not 0 < self.mask_exponent < np.inf:
+            raise InvalidInputError("mask_exponent must be finite and > 0")
         if self.covariance_frames < 1 or self.covariance_frames % 2 == 0:
             raise InvalidInputError("covariance_frames must be an odd integer >= 1")
 

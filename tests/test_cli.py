@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -409,3 +410,75 @@ def test_rank_refuses_documents_scored_differently(
     assert captured.err.startswith(f"error: score files disagree on {flag[2:]}")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["score", "oracle"])
+def test_jobs_below_one_rejected(dataset, baseline_submission, tmp_path, capsys, command):
+    if command == "score":
+        args = [
+            "score",
+            "--manifest", str(dataset),
+            "--estimates", str(baseline_submission),
+            "--system", "baseline",
+            "--leaderboard", "B",
+            "--training-data", "none",
+        ]
+    else:
+        args = ["oracle", "--manifest", str(dataset), "--kind", "baseline", "--out", str(tmp_path / "o")]
+    assert run([*args, "--jobs", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: jobs must be >= 1")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_score_rejects_non_finite_epsilon(dataset, baseline_submission, tmp_path, capsys, value):
+    prefix = tmp_path / "P"
+    args = [
+        "score",
+        "--manifest", str(dataset),
+        "--estimates", str(baseline_submission),
+        "--system", "baseline",
+        "--leaderboard", "B",
+        "--training-data", "none",
+        "--jobs", "1",
+        f"--epsilon={value}",  # "-inf" as a separate word would parse as an option
+        "--out", str(prefix),
+    ]
+    assert run(args) == 1
+    _assert_error_line(capsys)
+    assert not prefix.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_validate_rejects_bad_tolerance(dataset, capsys, value):
+    assert run(["validate", "--manifest", str(dataset), f"--tolerance={value}"]) == 1
+    _assert_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_analyze_rejects_non_finite_threshold(tmp_path, capsys, value):
+    path = tmp_path / "table.csv"
+    path.write_text("system_id,song_id,stem,global_sdr\nsys,song0,bass,1.0\n")
+    args = ["analyze", "--table", str(path), "--kind", "pearson", f"--threshold={value}"]
+    assert run(args) == 1
+    _assert_error_line(capsys)
+
+
+def test_oracle_parallel_jobs_byte_identical(dataset, tmp_path, capsys):
+    root = tmp_path / "swf"
+    outputs = {}
+    for jobs in ("1", "2"):
+        shutil.rmtree(root, ignore_errors=True)
+        args = ["oracle", "--manifest", str(dataset), "--kind", "swf", "--out", str(root),
+                "--fft", "256", "--hop", "64", "--jobs", jobs]
+        assert run(args) == 0
+        stdout = [l for l in capsys.readouterr().out.split("\n") if not l.startswith("# jobs = ")]
+        files = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        outputs[jobs] = (stdout, files)
+    assert outputs["1"][0] == outputs["2"][0]
+    assert len(outputs["1"][1]) == 4 * len(load_manifest(dataset).songs)
+    assert outputs["1"][1] == outputs["2"][1]

@@ -11,6 +11,7 @@ from demixeval.errors import (
     MissingEstimateError,
     MissingSubmissionError,
 )
+from demixeval import harness
 from demixeval.harness import (
     Leaderboard,
     LeaderboardEntry,
@@ -18,6 +19,7 @@ from demixeval.harness import (
     SongScore,
     SubmissionDescriptor,
     evaluate_submission,
+    fan_out,
     leaderboard_to_csv,
     load_score_document,
     plan_rounds,
@@ -232,6 +234,64 @@ class TestEvaluateSubmission:
             evaluate_submission(submission, small_dataset, plan, {4})
         with pytest.raises(InvalidInputError):
             evaluate_submission(submission, small_dataset, plan, set())
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records worker counts, maps in-process."""
+
+    created = []
+
+    def __init__(self, processes):
+        self.created.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def imap(self, func, tasks, chunksize):
+        assert chunksize == 1
+        return map(func, tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _RecordingPool)
+    _RecordingPool.created = []
+    return _RecordingPool.created
+
+
+class TestFanOut:
+    def test_workers_capped_at_task_count(self, recording_pool):
+        assert fan_out(str, [1, 2], jobs=8) == ["1", "2"]
+        assert recording_pool == [2]
+
+    def test_single_task_starts_no_pool(self, recording_pool):
+        assert fan_out(str, [1], jobs=8) == ["1"]
+        assert fan_out(str, [1, 2, 3], jobs=1) == ["1", "2", "3"]
+        assert fan_out(str, [], jobs=4) == []
+        assert recording_pool == []
+
+    def test_keeps_task_order(self, recording_pool):
+        assert fan_out(str, list(range(5)), jobs=3) == ["0", "1", "2", "3", "4"]
+        assert recording_pool == [3]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, recording_pool, jobs):
+        with pytest.raises(InvalidInputError, match="jobs"):
+            fan_out(str, [1, 2], jobs=jobs)
+        assert recording_pool == []
+
+    def test_evaluate_submission_workers_capped_at_song_count(
+        self, small_dataset, tmp_path, recording_pool
+    ):
+        root = tmp_path / "est"
+        _write_baseline_submission(small_dataset, root)
+        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
+        plan = plan_rounds(small_dataset, seed=3)
+        scores = evaluate_submission(submission, small_dataset, plan, {1, 2, 3}, jobs=64)
+        assert recording_pool == [len(scores)] == [4]
 
 
 def _song_score(song_id, bass, drums, other, vocals, excluded=(), demo=False):

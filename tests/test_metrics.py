@@ -418,6 +418,79 @@ class TestMetricSuite:
         assert set(results) == set(MetricId)
 
 
+# each framewise id of the README's comparison family table:
+# (base metric, frame s, hop s, aggregation)
+FRAMEWISE_IDS = {
+    MetricId.FRAMEWISE_SDR_MEAN: (MetricId.GLOBAL_SDR, 1.0, 1.0, Aggregation.MEAN),
+    MetricId.FRAMEWISE_SDR_MEDIAN: (MetricId.GLOBAL_SDR, 1.0, 1.0, Aggregation.MEDIAN),
+    MetricId.FRAMEWISE_MAE_MEAN: (MetricId.GLOBAL_MAE, 1.0, 1.0, Aggregation.MEAN),
+    MetricId.FRAMEWISE_MAE_MEDIAN: (MetricId.GLOBAL_MAE, 1.0, 1.0, Aggregation.MEDIAN),
+    MetricId.FRAMEWISE_MSE_MEAN: (MetricId.GLOBAL_MSE, 1.0, 1.0, Aggregation.MEAN),
+    MetricId.FRAMEWISE_MSE_MEDIAN: (MetricId.GLOBAL_MSE, 1.0, 1.0, Aggregation.MEDIAN),
+    MetricId.FRAMEWISE_SI_SDR_MEAN: (MetricId.GLOBAL_SI_SDR, 1.0, 1.0, Aggregation.MEAN),
+    MetricId.FRAMEWISE_SI_SDR_MEDIAN: (MetricId.GLOBAL_SI_SDR, 1.0, 1.0, Aggregation.MEDIAN),
+    MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEAN: (MetricId.BSSEVAL_V3_SDR, 30.0, 15.0, Aggregation.MEAN),
+    MetricId.BSSEVAL_V3_FRAMEWISE_SDR_MEDIAN: (MetricId.BSSEVAL_V3_SDR, 30.0, 15.0, Aggregation.MEDIAN),
+    MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEAN: (MetricId.BSSEVAL_V3_SDR, 1.0, 1.0, Aggregation.MEAN),
+    MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEDIAN: (MetricId.BSSEVAL_V3_SDR, 1.0, 1.0, Aggregation.MEDIAN),
+}
+
+
+def _numpy_frame_value(base, ref, est):
+    """One frame of a global metric, written out independently in numpy."""
+    diff = ref - est
+    if base is MetricId.GLOBAL_SDR:
+        return 10 * np.log10((np.sum(ref**2) + EPS) / (np.sum(diff**2) + EPS))
+    if base is MetricId.GLOBAL_MAE:
+        return np.mean(np.abs(diff))
+    if base is MetricId.GLOBAL_MSE:
+        return np.mean(diff**2)
+    if base is MetricId.GLOBAL_SI_SDR:
+        s, y = ref.ravel(), est.ravel()
+        target = (y @ s) / (s @ s) * s
+        return 10 * np.log10((target @ target) / ((y - target) @ (y - target)))
+    return 10 * np.log10(np.sum(ref**2) / np.sum(diff**2))
+
+
+class TestSuiteFramewiseSeries:
+    """The suite's framewise ids against the public framewise and a numpy reference."""
+
+    RATE = 100  # 65 s at low cost: three 30 s/15 s frames, sixty-five 1 s frames
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(21)
+        frames = 65 * self.RATE
+        ref = 0.1 * rng.standard_normal((2, frames))
+        ref[:, 10 * self.RATE : 22 * self.RATE] = 0.0  # twelve silent 1 s frames
+        est = ref + 0.05 * rng.standard_normal((2, frames))  # noise in the silent run too
+        ref_wf, est_wf = Waveform(ref, self.RATE), Waveform(est, self.RATE)
+        return ref_wf, est_wf, metric_suite(ref_wf, est_wf)
+
+    @pytest.mark.parametrize("metric_id", list(FRAMEWISE_IDS), ids=str)
+    def test_equals_public_framewise(self, pair, metric_id):
+        ref, est, results = pair
+        base, frame, hop, aggregation = FRAMEWISE_IDS[metric_id]
+        cfg = MetricConfig(frame_length=frame, hop_length=hop, aggregation=aggregation)
+        assert results[metric_id] == framewise(base, ref, est, cfg)
+
+    @pytest.mark.parametrize("metric_id", list(FRAMEWISE_IDS), ids=str)
+    def test_matches_numpy_frames(self, pair, metric_id):
+        ref, est, results = pair
+        base, frame, hop, aggregation = FRAMEWISE_IDS[metric_id]
+        frame, hop = int(frame * self.RATE), int(hop * self.RATE)
+        values = []
+        for start in range(0, ref.num_frames - frame + 1, hop):
+            ref_frame = ref.samples[:, start : start + frame]
+            if np.sum(ref_frame**2) > 1e-12:  # silent reference frames are skipped
+                values.append(_numpy_frame_value(base, ref_frame, est.samples[:, start : start + frame]))
+        expected = np.mean(values) if aggregation is Aggregation.MEAN else np.median(values)
+        assert results[metric_id] == pytest.approx(expected, rel=1e-9)
+
+    def test_keys_in_metric_id_order(self, pair):
+        assert list(pair[2]) == list(MetricId)
+
+
 class TestMetricConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -426,6 +499,14 @@ class TestMetricConfig:
             MetricConfig(frame_length=-1.0, hop_length=1.0)
         with pytest.raises(InvalidInputError):
             MetricConfig(frame_length=1.0, hop_length=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "field", ["epsilon", "frame_length", "hop_length", "silent_frame_energy_floor"]
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            MetricConfig(**{field: value})
 
 
 class TestSdrSong:

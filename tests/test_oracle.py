@@ -81,6 +81,12 @@ class TestStft:
         with pytest.raises(InvalidInputError):
             OracleConfig(covariance_frames=2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("field", ["mwf_regularization", "mask_exponent"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            OracleConfig(**{field: value})
+
     def test_hop_beyond_half_window_rejected(self):
         # at hop == fft_size the inverse silently loses samples
         for hop in (513, 1000, 1024):
