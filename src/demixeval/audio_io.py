@@ -4,16 +4,21 @@ Waveforms are float64 arrays shaped (channels, frames) at full scale +-1.0.
 PCM samples are normalized by 2**(bits - 1), so PCM 16-bit +32767 maps to
 32767/32768. Files are always written as IEEE float 32-bit, which makes the
 write/read round trip bit-exact for float32-valued data.
+
+read_wav decodes a whole file. read_wav_header and read_wav_blocks decode
+one block of frames at a time into reused buffers, through the same header
+parser and decoder, with the same checks and bit-identical samples.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -93,38 +98,58 @@ class Waveform:
         return self.num_frames / self.sample_rate
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file into a Waveform.
+@dataclass(frozen=True)
+class WavHeader:
+    """Where and how a checked WAVE file stores its samples.
 
-    Supports PCM 16-bit, PCM 24-bit, and IEEE float 32-bit, any channel
-    count >= 1, under the plain format tag or WAVE_FORMAT_EXTENSIBLE with
-    the standard PCM or float SubFormat and all bits valid. PCM data is
-    scaled by 2**(bits - 1).
+    num_channels, num_frames and sample_rate mean what they mean on a
+    Waveform. sample_width is the bytes per sample: 2 (PCM16), 3 (PCM24) or
+    4 (IEEE float32). data_offset is the file offset of the first sample.
+    """
 
-    Raises AudioFormatError for malformed headers, UnsupportedCodecError for
-    other encodings, CorruptFileError for truncated data.
+    path: Path
+    num_channels: int
+    num_frames: int
+    sample_rate: int
+    sample_width: int
+    data_offset: int
+
+
+def read_wav_header(path) -> WavHeader:
+    """Parse and check the header of a WAVE file without reading its samples.
+
+    Raises what read_wav raises, except the NaN/Inf check on float data,
+    which needs the samples.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    with open(path, "rb") as handle:
+        return _parse_header(handle, path)
+
+
+def _parse_header(handle, path: Path) -> WavHeader:
+    """Walk the RIFF chunks by seeking; only chunk headers and fmt are read."""
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data_span = None
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
+    while pos + 8 <= size:
+        handle.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", handle.read(8))
         body = pos + 8
         if (chunk_id == b"fmt " and fmt) or (chunk_id == b"data" and data_span):
             raise AudioFormatError(f"{path}: duplicate {chunk_id.decode()!r} chunk")
         if chunk_id == b"fmt ":
-            if chunk_size < 16 or body + 16 > len(raw):
+            if chunk_size < 16 or body + 16 > size:
                 raise AudioFormatError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", raw, body)
-            if fmt[0] == _WAVE_EXTENSIBLE and chunk_size >= 40 and body + 40 <= len(raw):
-                (valid_bits,) = struct.unpack_from("<H", raw, body + 18)
-                guid = raw[body + 24 : body + 40]
+            fields = handle.read(40)
+            fmt = struct.unpack_from("<HHIIHH", fields)
+            if fmt[0] == _WAVE_EXTENSIBLE and chunk_size >= 40 and body + 40 <= size:
+                (valid_bits,) = struct.unpack_from("<H", fields, 18)
+                guid = fields[24:40]
                 if valid_bits == fmt[5] and guid[2:] == _SUBFORMAT_GUID_TAIL:
                     # the GUID's first two bytes are the plain format tag
                     fmt = struct.unpack_from("<H", guid) + fmt[1:]
@@ -144,50 +169,105 @@ def read_wav(path) -> Waveform:
     if sample_rate < 1:
         raise AudioFormatError(f"{path}: sample rate {sample_rate} is invalid")
 
-    start, size = data_span
-    if start + size > len(raw):
-        raise CorruptFileError(
-            f"{path}: data chunk declares {size} bytes but the file ends early"
-        )
+    start, data_size = data_span
+    if start + data_size > size:
+        raise CorruptFileError(_ends_early(path, data_size))
 
     if format_tag == _WAVE_PCM and bits == 16:
-        bytes_per_sample = 2
+        width = 2
     elif format_tag == _WAVE_PCM and bits == 24:
-        bytes_per_sample = 3
+        width = 3
     elif format_tag == _WAVE_IEEE_FLOAT and bits == 32:
-        bytes_per_sample = 4
+        width = 4
     else:
         raise UnsupportedCodecError(
             f"{path}: format tag {format_tag} at {bits} bits is not supported "
             "(expected PCM16, PCM24, or IEEE float32)"
         )
-
-    frame_size = bytes_per_sample * channels
-    if size % frame_size != 0:
+    if data_size % (width * channels) != 0:
         raise CorruptFileError(f"{path}: data chunk holds a partial frame")
-    num_frames = size // frame_size
-    count = num_frames * channels
+    return WavHeader(path, channels, data_size // (width * channels), sample_rate, width, start)
 
-    # One pass from the file bytes into the de-interleaved output, then an
-    # in-place scale by a power of two, which is exact.
-    samples = np.empty((channels, num_frames))
-    if bytes_per_sample == 2:
-        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=start)
-        np.copyto(samples, ints.reshape(num_frames, channels).T)
-        samples *= 2.0**-15
-    elif bytes_per_sample == 3:
+
+def _ends_early(path: Path, data_size: int) -> str:
+    return f"{path}: data chunk declares {data_size} bytes but the file ends early"
+
+
+# Spare bytes ahead of the payload in every read buffer: a PCM24 word starts
+# one byte before its sample, and int16/float32 samples stay aligned.
+_PAD = 4
+
+
+def _read_frames(handle, header: WavHeader, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Read out.shape[1] frames at the file position into raw[_PAD:], decode into out.
+
+    One pass from the file bytes into the de-interleaved float64 output, then
+    an in-place scale by a power of two, which is exact.
+    """
+    channels, frames = out.shape
+    count = channels * frames
+    nbytes = count * header.sample_width
+    if handle.readinto(memoryview(raw)[_PAD : _PAD + nbytes]) != nbytes:
+        raise CorruptFileError(
+            _ends_early(header.path, header.num_frames * channels * header.sample_width)
+        )
+    if header.sample_width == 2:
+        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=_PAD)
+        np.copyto(out, ints.reshape(frames, channels).T)
+        out *= 2.0**-15
+    elif header.sample_width == 3:
         # Each sample as a little-endian int32 that starts one byte early;
         # the shift drops that byte and sign-extends. The last word ends
-        # exactly at the end of the data chunk.
-        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=start - 1, strides=(3,))
-        np.right_shift(words.reshape(num_frames, channels).T, 8, out=samples)
-        samples *= 2.0**-23
+        # exactly at the end of the payload.
+        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=_PAD - 1, strides=(3,))
+        np.right_shift(words.reshape(frames, channels).T, 8, out=out)
+        out *= 2.0**-23
     else:
-        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=start)
-        if not np.all(np.isfinite(floats)):
-            raise CorruptFileError(f"{path}: float data contains NaN or Inf")
-        np.copyto(samples, floats.reshape(num_frames, channels).T)
-    return Waveform(samples, int(sample_rate))
+        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=_PAD)
+        if not np.isfinite(floats).all():
+            raise CorruptFileError(f"{header.path}: float data contains NaN or Inf")
+        np.copyto(out, floats.reshape(frames, channels).T)
+    return out
+
+
+def read_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file into a Waveform.
+
+    Supports PCM 16-bit, PCM 24-bit, and IEEE float 32-bit, any channel
+    count >= 1, under the plain format tag or WAVE_FORMAT_EXTENSIBLE with
+    the standard PCM or float SubFormat and all bits valid. PCM data is
+    scaled by 2**(bits - 1).
+
+    Raises AudioFormatError for malformed headers, UnsupportedCodecError for
+    other encodings, CorruptFileError for truncated data or NaN/Inf floats.
+    """
+    path = Path(path)
+    with open(path, "rb") as handle:
+        header = _parse_header(handle, path)
+        samples = np.empty((header.num_channels, header.num_frames))
+        raw = np.empty(_PAD + samples.size * header.sample_width, dtype=np.uint8)
+        handle.seek(header.data_offset)
+        _read_frames(handle, header, raw, samples)
+    return Waveform(samples, header.sample_rate)
+
+
+def read_wav_blocks(header: WavHeader, block_frames: int) -> Iterator[np.ndarray]:
+    """Decode a file's samples in order, block_frames frames at a time.
+
+    Yields (channels, n) float64 arrays, n = block_frames except for a
+    shorter last block, bit-identical to the matching columns of read_wav.
+    They are views of one reused buffer: each is overwritten when the next
+    block is drawn. NaN or Inf in float data raises CorruptFileError at the
+    block that holds it.
+    """
+    frame_bytes = header.num_channels * header.sample_width
+    raw = np.empty(_PAD + block_frames * frame_bytes, dtype=np.uint8)
+    out = np.empty((header.num_channels, block_frames))
+    with open(header.path, "rb") as handle:
+        handle.seek(header.data_offset)
+        for start in range(0, header.num_frames, block_frames):
+            count = min(block_frames, header.num_frames - start)
+            yield _read_frames(handle, header, raw, out[:, :count])
 
 
 def write_wav(waveform: Waveform, path) -> None:

@@ -17,18 +17,18 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, read_wav
+from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, read_wav_header
 from .errors import (
     EvaluationError,
     InvalidInputError,
     MissingEstimateError,
     MissingSubmissionError,
 )
-from .metrics import MetricConfig, StemScores, global_sdr, sdr_song
+from .metrics import MetricConfig, StemScores, sdr_song, streamed_sdr
 
 
 class Leaderboard(Enum):
@@ -123,26 +123,35 @@ def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
 
 def score_song(
     entry: SongEntry,
-    estimates: Mapping[StemKind, Waveform],
+    estimates: Mapping[StemKind, Union[Waveform, str, Path]],
     cfg: MetricConfig = MetricConfig(),
 ) -> SongScore:
     """Score one song: global SDR per stem, then the exclusion-aware mean.
 
-    Stems in entry.silent_stems are scored but left out of the mean and
-    recorded in excluded_stems. Raises MissingEstimateError when a stem has
-    no estimate, InvalidInputError on shape or rate mismatches.
+    Each estimate is a Waveform or the path of a WAVE file. The references
+    are read from entry.stem_paths. Files are decoded one block at a time,
+    so the working set does not grow with the song's length. Stems in
+    entry.silent_stems are scored but left out of the mean and recorded in
+    excluded_stems. Raises MissingEstimateError when a stem has no estimate,
+    InvalidInputError on shape or rate mismatches, and the read_wav errors
+    for files it cannot decode.
     """
     missing = [kind.value for kind in StemKind if kind not in estimates]
     if missing:
         raise MissingEstimateError(
             f"song {entry.song_id}: no estimate for {', '.join(missing)}"
         )
+    # all estimate headers first, so a broken estimate file is reported ahead
+    # of another stem's shape or rate mismatch
+    sources = {}
+    for kind in StemKind:
+        estimate = estimates[kind]
+        sources[kind] = estimate if isinstance(estimate, Waveform) else read_wav_header(estimate)
     values = {}
     for kind in StemKind:
-        reference = read_wav(entry.stem_paths[kind])
-        estimate = estimates[kind]
+        reference = read_wav_header(entry.stem_paths[kind])
         try:
-            values[kind] = global_sdr(reference, estimate, cfg)
+            values[kind] = streamed_sdr(reference, sources[kind], cfg)
         except InvalidInputError as exc:
             raise InvalidInputError(f"song {entry.song_id}, stem {kind}: {exc}") from None
     excluded = {kind: "silent reference" for kind in StemKind if kind in entry.silent_stems}
@@ -175,9 +184,7 @@ def fan_out(func, tasks, jobs: int) -> list:
 def _score_task(task):
     entry, root, cfg = task
     try:
-        estimates = {
-            kind: read_wav(root / entry.song_id / f"{kind.value}.wav") for kind in StemKind
-        }
+        estimates = {kind: root / entry.song_id / f"{kind.value}.wav" for kind in StemKind}
         return entry.song_id, score_song(entry, estimates, cfg), None
     except Exception as exc:  # collected and re-raised with full context
         return entry.song_id, None, f"{type(exc).__name__}: {exc}"

@@ -15,7 +15,8 @@ channel in fixed blocks of 2**16 samples: numpy's sum within a block, block
 sums added left to right. They agree with an exactly rounded math.fsum to
 1e-12 relative, and depend only on the sample values, never on the memory
 layout or the thread count, so scores are bit-identical across runs and
---jobs.
+--jobs. streamed_sdr feeds the same reduction from WAVE files, one decoded
+block at a time, and so gives the in-memory score bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .audio_io import StemKind, Waveform
+from .audio_io import StemKind, Waveform, WavHeader, read_wav_blocks
 from .errors import InvalidInputError, UndefinedMetricError
 
 DB_CLAMP = 120.0  # stand-in for +-infinity; far outside any realistic score
@@ -106,11 +107,13 @@ class MetricId(Enum):
         return self.value
 
 
-def _check_pair(reference: Waveform, estimate: Waveform) -> None:
-    if reference.samples.shape != estimate.samples.shape:
+def _check_pair(reference, estimate) -> None:
+    """Shape, rate and emptiness checks on two Waveforms or WavHeaders."""
+    reference_shape = (reference.num_channels, reference.num_frames)
+    estimate_shape = (estimate.num_channels, estimate.num_frames)
+    if reference_shape != estimate_shape:
         raise InvalidInputError(
-            f"shape mismatch: reference {reference.samples.shape} vs "
-            f"estimate {estimate.samples.shape}"
+            f"shape mismatch: reference {reference_shape} vs estimate {estimate_shape}"
         )
     if reference.sample_rate != estimate.sample_rate:
         raise InvalidInputError(
@@ -127,27 +130,54 @@ def _clamp_db(value: float) -> float:
 # array-level evaluators, shared by the global operations and framewise slicing
 
 
-def _energies(ref: np.ndarray, est: np.ndarray) -> tuple:
-    """(sum ref**2, sum (ref - est)**2) over (channels, frames) arrays.
+def _array_blocks(samples: np.ndarray) -> Iterator[np.ndarray]:
+    """(channels, <= _ENERGY_BLOCK) views of a (channels, frames) array, in frame order."""
+    for start in range(0, samples.shape[1], _ENERGY_BLOCK):
+        yield samples[:, start : start + _ENERGY_BLOCK]
 
-    Each channel row is walked in blocks of _ENERGY_BLOCK samples; numpy sums
-    a contiguous product per block and the block sums add left to right. No
-    BLAS call, whose threaded reduction order could vary between runs.
+
+def _reduce_energies(block_pairs) -> tuple:
+    """(sum ref**2, sum (ref - est)**2) over (ref, est) block pairs in frame order.
+
+    Each pair holds the same (channels, <= _ENERGY_BLOCK) columns of both
+    signals. Per channel row of a block, numpy sums a contiguous product
+    built in one reused buffer; the sums are kept and added channel-major,
+    block sums left to right. No BLAS call, whose threaded reduction order
+    could vary between runs, and the result does not depend on where the
+    blocks come from.
     """
+    scratch = np.empty(_ENERGY_BLOCK)
+    parts = []  # per block, per channel: (sum ref**2, sum (ref - est)**2)
+    for ref, est in block_pairs:
+        row_parts = []
+        for ref_row, est_row in zip(ref, est):
+            product = scratch[: ref_row.shape[0]]
+            np.multiply(ref_row, ref_row, out=product)
+            ref_energy = float(np.sum(product))
+            np.subtract(ref_row, est_row, out=product)
+            np.multiply(product, product, out=product)
+            row_parts.append((ref_energy, float(np.sum(product))))
+        parts.append(row_parts)
     signal = 0.0
     noise = 0.0
-    for ref_row, est_row in zip(ref, est):
-        for start in range(0, ref_row.shape[0], _ENERGY_BLOCK):
-            block = ref_row[start : start + _ENERGY_BLOCK]
-            diff = block - est_row[start : start + _ENERGY_BLOCK]
-            signal += float(np.sum(block * block))
-            noise += float(np.sum(diff * diff))
+    for channel_parts in zip(*parts):
+        for block_signal, block_noise in channel_parts:
+            signal += block_signal
+            noise += block_noise
     return signal, noise
 
 
-def _sdr_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    signal, noise = _energies(ref, est)
+def _energies(ref: np.ndarray, est: np.ndarray) -> tuple:
+    """(sum ref**2, sum (ref - est)**2) over (channels, frames) arrays."""
+    return _reduce_energies(zip(_array_blocks(ref), _array_blocks(est)))
+
+
+def _sdr_db(signal: float, noise: float, cfg: MetricConfig) -> float:
     return 10.0 * math.log10((signal + cfg.epsilon) / (noise + cfg.epsilon))
+
+
+def _sdr_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
+    return _sdr_db(*_energies(ref, est), cfg)
 
 
 def _mae_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
@@ -203,6 +233,24 @@ def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = Metr
     """
     _check_pair(reference, estimate)
     return _sdr_arrays(reference.samples, estimate.samples, cfg)
+
+
+def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> float:
+    """global_sdr of two Waveforms or WAVE files given by their WavHeader.
+
+    A file is decoded one block of 2**16 frames at a time into a reused
+    buffer, so the working set does not depend on the signal length. The
+    value and the errors are those of global_sdr on the decoded Waveforms,
+    bit for bit.
+    """
+    _check_pair(reference, estimate)
+    return _sdr_db(*_reduce_energies(zip(_blocks(reference), _blocks(estimate))), cfg)
+
+
+def _blocks(source) -> Iterator[np.ndarray]:
+    if isinstance(source, WavHeader):
+        return read_wav_blocks(source, _ENERGY_BLOCK)
+    return _array_blocks(source.samples)
 
 
 def global_mae(reference: Waveform, estimate: Waveform) -> float:

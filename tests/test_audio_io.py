@@ -14,6 +14,8 @@ from demixeval.audio_io import (
     Waveform,
     load_manifest,
     read_wav,
+    read_wav_blocks,
+    read_wav_header,
     validate_song_audio,
     write_wav,
 )
@@ -223,6 +225,68 @@ class TestDecoderOracle:
             read_wav(path)
 
 
+class TestWavBlocks:
+    """read_wav_header plus read_wav_blocks against read_wav."""
+
+    LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        codec=st.sampled_from(["pcm16", "pcm24", "float32"]),
+        channels=st.integers(1, 3),
+        frames=st.integers(0, 40),
+        block_frames=st.integers(1, 16),
+        trailing_chunk=st.booleans(),
+        extensible=st.booleans(),
+        data=st.data(),
+    )
+    def test_blocks_join_to_read_wav(
+        self, wav_dir, codec, channels, frames, block_frames, trailing_chunk, extensible, data
+    ):
+        path = wav_dir / "blocks.wav"
+        trailer = self.LIST_CHUNK if trailing_chunk else b""
+        if codec == "float32":
+            finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+            values = data.draw(hnp.arrays(np.float32, (frames, channels), elements=finite))
+            write_float32_wav(path, values, 8000, trailer, extensible)
+        else:
+            bits = 16 if codec == "pcm16" else 24
+            limit = 1 << (bits - 1)
+            values = data.draw(
+                hnp.arrays(np.int64, (frames, channels), elements=st.integers(-limit, limit - 1))
+            )
+            write_pcm_wav(path, values, bits, 8000, trailer, extensible)
+        assert _block_outcome(path, block_frames) == read_wav(path).samples.tobytes()
+
+    def test_header_fields(self, tmp_path):
+        path = tmp_path / "ext.wav"
+        write_pcm_wav(path, np.zeros((5, 3), dtype=np.int64), 24, 22050, extensible=True)
+        header = read_wav_header(path)
+        assert (header.num_channels, header.num_frames, header.sample_rate) == (3, 5, 22050)
+        assert header.sample_width == 3
+        raw = path.read_bytes()
+        assert header.data_offset == raw.index(b"data") + 8
+
+    def test_non_finite_raised_at_its_block(self, tmp_path):
+        values = np.zeros((10, 2), dtype=np.float32)
+        values[9, 1] = np.inf
+        path = tmp_path / "late.wav"
+        write_float32_wav(path, values, 8000)
+        blocks = read_wav_blocks(read_wav_header(path), 4)
+        assert next(blocks).shape == (2, 4)
+        assert next(blocks).shape == (2, 4)
+        with pytest.raises(CorruptFileError, match="NaN or Inf"):
+            next(blocks)
+
+    def test_file_shortened_after_header(self, tmp_path):
+        path = tmp_path / "shrinks.wav"
+        write_float32_wav(path, np.ones((10, 1), dtype=np.float32), 8000)
+        header = read_wav_header(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CorruptFileError, match="ends early"):
+            list(read_wav_blocks(header, 4))
+
+
 class TestExtensibleRejects:
     """WAVE_FORMAT_EXTENSIBLE is read only with a known SubFormat and all bits valid."""
 
@@ -262,6 +326,25 @@ class TestExtensibleRejects:
             read_wav(path)
 
 
+def _read_wav_outcome(path):
+    """read_wav's samples as bytes, or the class and message of its package error."""
+    try:
+        return read_wav(path).samples.tobytes()
+    except DemixEvalError as exc:
+        return type(exc), str(exc)
+
+
+def _block_outcome(path, block_frames):
+    """The same through read_wav_header and read_wav_blocks, blocks joined in order."""
+    try:
+        header = read_wav_header(path)
+        blocks = [block.copy() for block in read_wav_blocks(header, block_frames)]
+    except DemixEvalError as exc:
+        return type(exc), str(exc)
+    assert all(block.shape[1] == block_frames for block in blocks[:-1])
+    return np.concatenate(blocks or [np.empty((header.num_channels, 0))], axis=1).tobytes()
+
+
 class TestRiffFuzz:
     """Truncated and duplicated chunks end in a package error, never another exception."""
 
@@ -282,13 +365,14 @@ class TestRiffFuzz:
         self._write(path, codec, extensible)
         raw = path.read_bytes()
         assert read_wav(path).samples.tobytes() == decode_wav_reference(path).tobytes()
+        assert _block_outcome(path, 2) == _read_wav_outcome(path)
         prefix = tmp_path / "prefix.wav"
         for end in range(len(raw)):
             prefix.write_bytes(raw[:end])
-            try:
-                read_wav(prefix)
-            except DemixEvalError:
-                pass
+            # the block iterator decodes or fails exactly as read_wav does
+            expected = _read_wav_outcome(prefix)
+            for block_frames in (1, 2):
+                assert _block_outcome(prefix, block_frames) == expected
 
     @pytest.mark.parametrize("chunk", [b"fmt ", b"data"])
     def test_second_chunk_rejected(self, tmp_path, chunk):
