@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import StemKind, load_manifest, read_wav, validate_song_audio, write_wav
+from .audio_io import load_manifest, read_wav, validate_song_audio, write_wav
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import MetricConfig, MetricId, metric_suite
 from .harness import Leaderboard
@@ -89,9 +89,9 @@ def cmd_score(args) -> int:
     if args.out:
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        prefix.with_suffix(".csv").write_text(table)
+        Path(f"{prefix}.csv").write_text(table)
         document = harness.scores_to_document(submission, scores, rounds, args.seed, cfg)
-        prefix.with_suffix(".json").write_text(json.dumps(document, indent=2) + "\n")
+        Path(f"{prefix}.json").write_text(json.dumps(document, indent=2) + "\n")
     return 0
 
 

@@ -390,42 +390,28 @@ def metric_suite(reference: Waveform, estimate: Waveform, cfg: MetricConfig = Me
 
 @dataclass(frozen=True)
 class StemScores:
-    """Per-stem metric values plus the subset that enters aggregation.
+    """Per-stem metric values, in StemKind order.
 
-    evaluated_stems defaults to every stem that has a value. Stems excluded
-    from aggregation (silent references) must be dropped from both the map
-    and evaluated_stems by the caller.
+    Stems excluded from aggregation (silent references) are left out of the
+    map by the caller.
     """
 
     values: Mapping[StemKind, float]
-    evaluated_stems: frozenset = None
 
     def __post_init__(self) -> None:
         values = {k: float(v) for k, v in dict(self.values).items()}
+        if not values:
+            raise InvalidInputError("StemScores needs at least one value")
         if any(not isinstance(k, StemKind) for k in values):
             raise InvalidInputError("StemScores keys must be StemKind members")
-        evaluated = self.evaluated_stems
-        evaluated = frozenset(values) if evaluated is None else frozenset(evaluated)
-        if not evaluated:
-            raise InvalidInputError("evaluated_stems must be non-empty")
-        if any(not isinstance(k, StemKind) for k in evaluated):
-            raise InvalidInputError("evaluated_stems members must be StemKind members")
-        if not set(values) <= evaluated:
-            raise InvalidInputError("every scored stem must be in evaluated_stems")
-        ordered = {k: values[k] for k in StemKind if k in values}
-        object.__setattr__(self, "values", ordered)
-        object.__setattr__(self, "evaluated_stems", evaluated)
+        object.__setattr__(self, "values", {k: values[k] for k in StemKind if k in values})
 
 
 def sdr_song(scores: StemScores) -> float:
-    """Arithmetic mean of the per-stem values over evaluated_stems.
+    """Arithmetic mean of the per-stem values, summed in StemKind order.
 
     With a silent stem removed by the harness this is the three-stem mean;
     normally it is the four-stem mean.
     """
-    stems = [k for k in StemKind if k in scores.evaluated_stems]
-    try:
-        values = [scores.values[k] for k in stems]
-    except KeyError as exc:
-        raise InvalidInputError(f"no score for evaluated stem {exc.args[0]}") from None
+    values = list(scores.values.values())
     return sum(values) / len(values)

@@ -73,6 +73,29 @@ def write_float32_wav(path, samples, rate, trailer=b"", extensible=False):
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload)
 
 
+def write_encoded_wav(path, codec, values, rate=8000, extensible=False, trailer=b""):
+    """Write float values shaped (frames, channels), within [-1, 1), in the given encoding."""
+    if codec == "float32":
+        write_float32_wav(path, values.astype(np.float32), rate, trailer, extensible)
+        return
+    bits = 16 if codec == "pcm16" else 24
+    scale = 1 << (bits - 1)
+    ints = np.clip(np.round(values * scale), -scale, scale - 1).astype(np.int64)
+    write_pcm_wav(path, ints, bits, rate, trailer, extensible)
+
+
+def add_partial_frame(path):
+    """Grow the final data chunk by 2 bytes, less than a frame of any encoding used here."""
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b"data")
+    (size,) = struct.unpack_from("<I", raw, start + 4)
+    assert start + 8 + size == len(raw)
+    struct.pack_into("<I", raw, start + 4, size + 2)
+    raw += b"\x00\x00"
+    struct.pack_into("<I", raw, 4, len(raw) - 8)
+    path.write_bytes(bytes(raw))
+
+
 def decode_wav_reference(path):
     """Decode a WAV one sample at a time with struct and int.from_bytes.
 

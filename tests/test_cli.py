@@ -111,6 +111,29 @@ def test_score_writes_artifacts_and_is_reproducible(
     assert first.count("baseline,syn_") == 3  # demo song left out
 
 
+def test_score_out_prefix_keeps_dotted_name(dataset, baseline_submission, tmp_path, capsys):
+    # <out>.csv and <out>.json are appended to the prefix, never swapped for a
+    # dotted last component, so sys.a and sys.b keep separate score files
+    for system in ("sys.a", "sys.b"):
+        args = [
+            "score",
+            "--manifest", str(dataset),
+            "--estimates", str(baseline_submission),
+            "--system", system,
+            "--leaderboard", "B",
+            "--training-data", "none",
+            "--jobs", "1",
+            "--out", str(tmp_path / "r" / system),
+        ]
+        assert run(args) == 0
+    capsys.readouterr()
+    written = sorted(path.name for path in (tmp_path / "r").iterdir())
+    assert written == ["sys.a.csv", "sys.a.json", "sys.b.csv", "sys.b.json"]
+    for system in ("sys.a", "sys.b"):
+        assert json.loads((tmp_path / "r" / f"{system}.json").read_text())["system_id"] == system
+        assert (tmp_path / "r" / f"{system}.csv").read_text().splitlines()[1].startswith(f"{system},")
+
+
 def test_score_missing_estimates_exits_1(dataset, tmp_path, capsys):
     code = run(
         [

@@ -544,12 +544,9 @@ class TestSdrSong:
         with pytest.raises(InvalidInputError):
             StemScores({})
 
-    def test_value_outside_evaluated_rejected(self):
-        with pytest.raises(InvalidInputError):
-            StemScores(
-                {StemKind.BASS: 1.0, StemKind.DRUMS: 2.0},
-                evaluated_stems=frozenset({StemKind.DRUMS}),
-            )
+    def test_non_stem_key_rejected(self):
+        with pytest.raises(InvalidInputError, match="keys must be StemKind members"):
+            StemScores({"bass": 1.0})
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -24,23 +24,12 @@ from demixeval.harness import score_song
 from demixeval.metrics import _ENERGY_BLOCK, global_sdr
 from demixeval.synth import make_dataset
 
-from helpers import write_float32_wav, write_pcm_wav
+from helpers import add_partial_frame, write_encoded_wav, write_float32_wav
 
 RATE = 8000
 CODECS = ("pcm16", "pcm24", "float32")
 FRAME_COUNTS = (0, 1, _ENERGY_BLOCK - 1, _ENERGY_BLOCK, _ENERGY_BLOCK + 1, 3 * _ENERGY_BLOCK + 1234)
 LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
-
-
-def _write(path, codec, values, rate=RATE, extensible=False, trailer=b""):
-    """Write float values shaped (frames, channels), within [-1, 1), in the given encoding."""
-    if codec == "float32":
-        write_float32_wav(path, values.astype(np.float32), rate, trailer, extensible)
-        return
-    bits = 16 if codec == "pcm16" else 24
-    scale = 1 << (bits - 1)
-    ints = np.clip(np.round(values * scale), -scale, scale - 1).astype(np.int64)
-    write_pcm_wav(path, ints, bits, rate, trailer, extensible)
 
 
 def _pair(tmp_path, codec, channels, frames, extensible=False, trailer=b"", seed=0):
@@ -49,8 +38,8 @@ def _pair(tmp_path, codec, channels, frames, extensible=False, trailer=b"", seed
     reference = 0.3 * rng.standard_normal((frames, channels))
     estimate = np.clip(0.8 * reference + 0.05 * rng.standard_normal((frames, channels)), -1, 0.99)
     ref_path, est_path = tmp_path / "ref.wav", tmp_path / f"est_{codec}.wav"
-    _write(ref_path, "float32", reference)
-    _write(est_path, codec, estimate, extensible=extensible, trailer=trailer)
+    write_encoded_wav(ref_path, "float32", reference)
+    write_encoded_wav(est_path, codec, estimate, extensible=extensible, trailer=trailer)
     return ref_path, est_path
 
 
@@ -99,7 +88,7 @@ class TestBitIdentity:
     def test_mixed_sources_and_silent_stem(self, tmp_path):
         ref_path, est_path = _pair(tmp_path, "pcm16", 2, 2 * _ENERGY_BLOCK + 7)
         silent = tmp_path / "silent.wav"
-        _write(silent, "float32", np.zeros((2 * _ENERGY_BLOCK + 7, 2)))
+        write_encoded_wav(silent, "float32", np.zeros((2 * _ENERGY_BLOCK + 7, 2)))
         entry = SongEntry(
             song_id="s",
             stem_paths={**{kind: ref_path for kind in StemKind}, StemKind.BASS: silent},
@@ -149,7 +138,7 @@ class TestErrors:
 
     def test_partial_frame(self, tmp_path):
         ref_path, est_path = _pair(tmp_path, "float32", 2, 100)
-        _add_partial_frame(est_path)
+        add_partial_frame(est_path)
         message = self._read_error(est_path)
         assert message == f"{est_path}: data chunk holds a partial frame"
         with pytest.raises(CorruptFileError) as excinfo:
@@ -167,7 +156,7 @@ class TestErrors:
     def test_mismatch_names_song_and_stem(self, tmp_path, channels, frames, rate, detail):
         ref_path, _ = _pair(tmp_path, "float32", 2, 100)
         wrong = tmp_path / "wrong.wav"
-        _write(wrong, "pcm16", np.zeros((frames, channels)), rate=rate)
+        write_encoded_wav(wrong, "pcm16", np.zeros((frames, channels)), rate=rate)
         with pytest.raises(InvalidInputError) as in_memory:
             global_sdr(read_wav(ref_path), read_wav(wrong))
         assert str(in_memory.value) == detail
@@ -183,25 +172,13 @@ class TestErrors:
         # when every estimate was decoded before scoring began
         ref_path, est_path = _pair(tmp_path, "float32", 2, 100)
         short, broken = tmp_path / "short.wav", tmp_path / "broken.wav"
-        _write(short, "float32", np.zeros((99, 2)))
+        write_encoded_wav(short, "float32", np.zeros((99, 2)))
         broken.write_bytes(b"OggS" + bytes(40))
         estimates = {kind: est_path for kind in StemKind}
         estimates[StemKind.BASS] = short
         estimates[StemKind.VOCALS] = broken
         with pytest.raises(AudioFormatError, match="not a RIFF/WAVE file"):
             score_song(_entry(ref_path), estimates)
-
-
-def _add_partial_frame(path):
-    """Grow the final data chunk by 2 bytes, less than a frame of any encoding used here."""
-    raw = bytearray(path.read_bytes())
-    start = raw.index(b"data")
-    (size,) = struct.unpack_from("<I", raw, start + 4)
-    assert start + 8 + size == len(raw)
-    struct.pack_into("<I", raw, start + 4, size + 2)
-    raw += b"\x00\x00"
-    struct.pack_into("<I", raw, 4, len(raw) - 8)
-    path.write_bytes(bytes(raw))
 
 
 class TestWorkingSet:
@@ -260,7 +237,7 @@ def _synth_submission(root):
         for kind, (codec, extensible, leak) in encodings.items():
             stem = read_wav(entry.stem_paths[kind]).samples
             estimate = (1 - leak) * stem + leak * mixture
-            _write(song_dir / f"{kind.value}.wav", codec, estimate.T, extensible=extensible)
+            write_encoded_wav(song_dir / f"{kind.value}.wav", codec, estimate.T, extensible=extensible)
     return manifest_path, root / "submission"
 
 
@@ -355,7 +332,7 @@ def test_cli_truncated_data_chunk(broken_copy, capsys):
 def test_cli_partial_frame(broken_copy, capsys):
     manifest_path, estimates = broken_copy
     victim = estimates / "syn_002" / "drums.wav"
-    _add_partial_frame(victim)
+    add_partial_frame(victim)
     err = _cli_error(manifest_path, estimates, capsys)
     assert f"syn_002: CorruptFileError: {victim}: data chunk holds a partial frame\n" in err
 
