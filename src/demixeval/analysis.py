@@ -50,15 +50,11 @@ def pearson(x, y) -> float:
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks starting at 1, ties averaged."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_values = values[order]
-    start = 0
-    while start < len(values):
-        stop = start
-        while stop + 1 < len(values) and sorted_values[stop + 1] == sorted_values[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
-        start = stop + 1
+    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
+    stops = np.r_[starts[1:], len(values)] - 1
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + stops) + 1.0, stops - starts + 1)
     return ranks
 
 
@@ -104,15 +100,6 @@ class MetricTable:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def column_pair(self, first: MetricId, second: MetricId):
-        """Values of two columns over rows where both are present."""
-        xs, ys = [], []
-        for row in self.cells.values():
-            if first in row and second in row:
-                xs.append(row[first])
-                ys.append(row[second])
-        return np.asarray(xs), np.asarray(ys)
 
 
 @dataclass(frozen=True)
@@ -174,11 +161,16 @@ def correlation_matrix(table: MetricTable, kind: CorrelationKind) -> Correlation
     """
     correlate = _CORRELATORS[kind]
     metrics = tuple(table.columns)
+    rows = list(table.cells.values())
+    shape = (len(rows), len(metrics))  # also for a table with no rows
+    present = np.array([[metric in row for metric in metrics] for row in rows], dtype=bool).reshape(shape)
+    data = np.array([[row.get(metric, 0.0) for metric in metrics] for row in rows]).reshape(shape)
     values = {}
     missing = {}
     for i, first in enumerate(metrics):
-        for second in metrics[i:]:
-            xs, ys = table.column_pair(first, second)
+        for j, second in enumerate(metrics[i:], start=i):
+            both = present[:, i] & present[:, j]
+            xs, ys = data[both, i], data[both, j]
             if len(xs) < 2:
                 missing[(first, second)] = missing[(second, first)] = (
                     f"only {len(xs)} co-present row(s)"

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import load_manifest, read_wav, validate_song_audio, write_wav
+from .audio_io import load_manifest, read_wav, read_wav_header, validate_song_audio, write_wav
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import MetricConfig, MetricId, metric_suite
 from .harness import Leaderboard
@@ -180,9 +180,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reference = read_wav(args.reference)
-    estimate = read_wav(args.estimate)
+    reference = read_wav_header(args.reference)
+    estimate = read_wav_header(args.estimate)
     cfg = MetricConfig(epsilon=args.epsilon)
+    results = metric_suite(reference, estimate, cfg)
     _print_config(
         "suite",
         [
@@ -192,7 +193,6 @@ def cmd_suite(args) -> int:
             ("framewise_frames", "1s/1s (30s/15s for bsseval_v3_framewise)"),
         ],
     )
-    results = metric_suite(reference, estimate, cfg)
     print("metric,value")
     for metric_id in MetricId:
         if metric_id in results:

@@ -17,6 +17,15 @@ sums added left to right. They agree with an exactly rounded math.fsum to
 layout or the thread count, so scores are bit-identical across runs and
 --jobs. streamed_sdr feeds the same reduction from WAVE files, one decoded
 block at a time, and so gives the in-memory score bit for bit.
+
+The rest of the family comes from one more reduction over the same blocks,
+in memory or from WAVE files. It sums s**2, (s - s_hat)**2, |s - s_hat| and
+s * s_hat per channel and block, adding the block sums as above, so its
+global_sdr and bsseval_v3_sdr are the SDR kernel's bit for bit. Frames add
+the pieces block edges cut them into, in order. MAE and MSE agree with their
+formulas over exactly rounded sums to 1e-12 relative, the other dB metrics
+to 1e-10 dB. SI-SDR sums its residual (s_hat - a s)**2 as it stands, in a
+second pass over the blocks.
 """
 
 from __future__ import annotations
@@ -127,9 +136,6 @@ def _clamp_db(value: float) -> float:
     return max(-DB_CLAMP, min(DB_CLAMP, value))
 
 
-# array-level evaluators, shared by the global operations and framewise slicing
-
-
 def _array_blocks(samples: np.ndarray) -> Iterator[np.ndarray]:
     """(channels, <= _ENERGY_BLOCK) views of a (channels, frames) array, in frame order."""
     for start in range(0, samples.shape[1], _ENERGY_BLOCK):
@@ -176,39 +182,117 @@ def _sdr_db(signal: float, noise: float, cfg: MetricConfig) -> float:
     return 10.0 * math.log10((signal + cfg.epsilon) / (noise + cfg.epsilon))
 
 
-def _sdr_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    return _sdr_db(*_energies(ref, est), cfg)
+def _blocks(source) -> Iterator[np.ndarray]:
+    if isinstance(source, WavHeader):
+        return read_wav_blocks(source, _ENERGY_BLOCK)
+    return _array_blocks(source.samples)
 
 
-def _mae_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    return float(np.mean(np.abs(ref - est)))
+# Rows of the blocked sums: s**2, (s - s_hat)**2, |s - s_hat| and s * s_hat
+_SIGNAL, _NOISE, _ABS, _CROSS = range(4)
 
 
-def _mse_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    diff = ref - est
-    return float(np.mean(diff * diff))
+def _walk(reference, estimate, units, depth, rows) -> dict:
+    """{unit: per-channel sums of rows(ref, est, start) on each unit of that many frames}.
+
+    rows maps one channel of the block at frame start to (row index,
+    contiguous row) pairs, computed one at a time into a reused buffer. A
+    sum array is (depth, channels, frames // unit + 1), its last column
+    taking the frames past the last whole unit; a unit cut by a block edge
+    adds its pieces in order.
+    """
+    sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
+    start = 0
+    for ref, est in zip(_blocks(reference), _blocks(estimate)):
+        count = ref.shape[1]
+        runs = []  # (sums, lo, hi, first unit, piece length)
+        for unit, unit_sums in sums.items():
+            head = min(-start % unit, count)  # ends a unit begun in an earlier block
+            stop = count - (count - head) % unit
+            for lo, hi in ((0, head), (head, stop), (stop, count)):
+                if lo < hi:
+                    runs.append((unit_sums, lo, hi, (start + lo) // unit, min(unit, hi - lo)))
+        for channel in range(reference.num_channels):
+            for row, values in rows(ref[channel], est[channel], start):
+                for unit_sums, lo, hi, index, size in runs:
+                    pieces = np.add.reduce(values[lo:hi].reshape(-1, size), axis=-1)
+                    unit_sums[row, channel, index : index + len(pieces)] += pieces
+        start += count
+    return sums
 
 
-def _si_sdr_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    s = ref.ravel()
-    y = est.ravel()
-    reference_energy = float(np.dot(s, s))
-    if reference_energy <= cfg.silent_frame_energy_floor:
-        raise UndefinedMetricError("SI-SDR is undefined for a silent reference")
-    scale = float(np.dot(y, s)) / reference_energy
-    target = scale * s
-    residual = y - target
-    target_energy = float(np.dot(target, target))
-    residual_energy = float(np.dot(residual, residual))
-    if residual_energy == 0.0:
-        return DB_CLAMP
-    if target_energy == 0.0:
-        return -DB_CLAMP
-    return _clamp_db(10.0 * math.log10(target_energy / residual_energy))
+def _reduce(reference, estimate, units) -> tuple:
+    """(totals, {unit: sums}) of the four rows over Waveforms or WavHeaders.
+
+    totals adds the per-block sums channel-major, blocks left to right, as
+    _reduce_energies does: its _SIGNAL and _NOISE entries are that kernel's
+    result bit for bit.
+    """
+    scratch = np.empty(_ENERGY_BLOCK)
+
+    def products(ref, est, start):
+        out = scratch[: ref.shape[0]]
+        yield _SIGNAL, np.multiply(ref, ref, out=out)
+        yield _CROSS, np.multiply(ref, est, out=out)
+        np.subtract(ref, est, out=out)
+        yield _ABS, np.abs(out, out=out)
+        yield _NOISE, np.multiply(out, out, out=out)
+
+    sums = _walk(reference, estimate, {_ENERGY_BLOCK, *units}, 4, products)
+    totals = np.zeros(4)
+    for block in sums[_ENERGY_BLOCK].transpose(1, 2, 0).reshape(-1, 4):
+        totals += block
+    return totals, sums
 
 
-def _bsseval_v3_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> float:
-    signal, noise = _energies(ref, est)
+def _compose(unit_sums: np.ndarray, k: int, m: int, count: int) -> np.ndarray:
+    """Sums over channels of count frames of k units, one every m units: per
+    channel the units in order, then the channels in order."""
+    frames = unit_sums[..., : m * count : m]
+    for j in range(1, k):
+        frames = frames + unit_sums[..., j : j + m * count : m]
+    total = frames[..., 0, :]
+    for channel in range(1, frames.shape[-2]):
+        total = total + frames[..., channel, :]
+    return total
+
+
+def _grid(reference, frame_length: float, hop_length: float) -> tuple:
+    """(unit, k, m, count): count whole frames of k units, one every m units,
+    the unit being the greatest common divisor of frame and hop."""
+    rate = reference.sample_rate
+    frame = int(round(frame_length * rate))
+    hop = int(round(hop_length * rate))
+    if frame <= 0 or hop <= 0:
+        raise InvalidInputError("frame and hop must be at least one sample")
+    total = reference.num_frames
+    if total < frame:
+        raise InvalidInputError(
+            f"signal of {total} frames is shorter than one {frame}-frame window"
+        )
+    unit = math.gcd(frame, hop)
+    return unit, frame // unit, hop // unit, (total - frame) // hop + 1
+
+
+def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> float:
+    """One global metric from the four sums and the SI-SDR residual of `size` samples."""
+    signal, noise, abs_sum, cross = (float(value) for value in sums)
+    if base is MetricId.GLOBAL_SDR:
+        return _sdr_db(signal, noise, cfg)
+    if base is MetricId.GLOBAL_MAE:
+        return abs_sum / size
+    if base is MetricId.GLOBAL_MSE:
+        return noise / size
+    if base is MetricId.GLOBAL_SI_SDR:
+        if signal <= cfg.silent_frame_energy_floor:
+            raise UndefinedMetricError("SI-SDR is undefined for a silent reference")
+        scale = cross / signal
+        target = scale * scale * signal
+        if residual == 0.0:
+            return DB_CLAMP
+        if target == 0.0:
+            return -DB_CLAMP
+        return _clamp_db(10.0 * math.log10(target / residual))
     if signal == 0.0:
         raise UndefinedMetricError("BSS Eval style SDR is undefined for a silent reference")
     if noise == 0.0:
@@ -216,13 +300,71 @@ def _bsseval_v3_arrays(ref: np.ndarray, est: np.ndarray, cfg: MetricConfig) -> f
     return _clamp_db(10.0 * math.log10(signal / noise))
 
 
-_ARRAY_EVALUATORS = {
-    MetricId.GLOBAL_SDR: _sdr_arrays,
-    MetricId.GLOBAL_MAE: _mae_arrays,
-    MetricId.GLOBAL_MSE: _mse_arrays,
-    MetricId.GLOBAL_SI_SDR: _si_sdr_arrays,
-    MetricId.BSSEVAL_V3_SDR: _bsseval_v3_arrays,
-}
+_GLOBAL_IDS = (MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE, MetricId.GLOBAL_MSE,
+               MetricId.GLOBAL_SI_SDR, MetricId.BSSEVAL_V3_SDR)
+
+
+def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: bool) -> tuple:
+    """(totals, global SI-SDR residual, kept per-frame values of each (base, grid) series).
+
+    A series keeps its frames above the silent floor where its base is
+    defined. At most one is GLOBAL_SI_SDR: the residual sum (s_hat - a s)**2
+    is summed as it stands in a second pass, once each a = sum s s_hat /
+    sum s**2 is known (sum s_hat**2 - 2a sum s s_hat + a**2 sum s**2 cancels
+    badly near a * s). Overlapping frames fall into ceil(k / m) classes of
+    disjoint frames, one row of per-unit scales each.
+    """
+    floor = cfg.silent_frame_energy_floor
+    totals, sums = _reduce(reference, estimate, {grid[0] for _, grid in series})
+    frame_sums = [_compose(sums[unit], k, m, count) for _, (unit, k, m, count) in series]
+    unit, scales, classes, si_grid = _ENERGY_BLOCK, [], [], (1, 1, 0)
+    for (base, (frame_unit, k, m, count)), frames in zip(series, frame_sums):
+        audible = frames[_SIGNAL] > floor
+        if base is MetricId.GLOBAL_SI_SDR and audible.any():
+            unit, step, si_grid = frame_unit, -(-k // m), (k, m, count)
+            scale = np.divide(frames[_CROSS], frames[_SIGNAL], out=np.zeros(count), where=audible)
+            for first in range(step):
+                classes.append(np.arange(first, count, step))
+                scales.append(np.zeros(reference.num_frames // unit + 1))
+                for j in range(k):
+                    scales[-1][classes[-1] * m + j] = scale[classes[-1]]
+    if global_si_sdr and totals[_SIGNAL] > floor:
+        scales.insert(0, np.full(reference.num_frames // unit + 1, totals[_CROSS] / totals[_SIGNAL]))
+    residuals = np.zeros((len(scales), 0))
+    if scales:
+        scratch = np.empty(_ENERGY_BLOCK)
+
+        def rows(ref, est, start):
+            out = scratch[: ref.shape[0]]
+            units_of_frames = (start + np.arange(ref.shape[0])) // unit
+            for row, unit_scales in enumerate(scales):
+                np.multiply(unit_scales[units_of_frames], ref, out=out)
+                np.subtract(est, out, out=out)
+                yield row, np.multiply(out, out, out=out)
+
+        residuals = _walk(reference, estimate, (unit,), len(scales), rows)[unit]
+    global_residual = float(np.sum(residuals[0])) if len(residuals) > len(classes) else None
+    frame_residuals = np.zeros(si_grid[2])
+    for chosen, row in zip(classes, residuals[len(residuals) - len(classes) :]):
+        frame_residuals[chosen] = _compose(row, *si_grid)[chosen]
+    values = []
+    for (base, (frame_unit, k, _, _)), frames in zip(series, frame_sums):
+        kept = []
+        size = reference.num_channels * frame_unit * k
+        for index in np.flatnonzero(frames[_SIGNAL] > floor):
+            residual = frame_residuals[index] if base is MetricId.GLOBAL_SI_SDR else None
+            try:
+                kept.append(_value(base, frames[:, index], residual, size, cfg))
+            except UndefinedMetricError:
+                continue
+        values.append(kept)
+    return totals, global_residual, values
+
+
+def _global(base: MetricId, reference, estimate, cfg: MetricConfig) -> float:
+    _check_pair(reference, estimate)
+    totals, residual, _ = _evaluate(reference, estimate, cfg, (), base is MetricId.GLOBAL_SI_SDR)
+    return _value(base, totals, residual, reference.num_channels * reference.num_frames, cfg)
 
 
 def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
@@ -232,7 +374,7 @@ def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = Metr
     10*log10((E + eps)/(E + eps)) = 0 dB, and silent/silent scores exactly 0 dB.
     """
     _check_pair(reference, estimate)
-    return _sdr_arrays(reference.samples, estimate.samples, cfg)
+    return _sdr_db(*_energies(reference.samples, estimate.samples), cfg)
 
 
 def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> float:
@@ -247,22 +389,14 @@ def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> flo
     return _sdr_db(*_reduce_energies(zip(_blocks(reference), _blocks(estimate))), cfg)
 
 
-def _blocks(source) -> Iterator[np.ndarray]:
-    if isinstance(source, WavHeader):
-        return read_wav_blocks(source, _ENERGY_BLOCK)
-    return _array_blocks(source.samples)
-
-
 def global_mae(reference: Waveform, estimate: Waveform) -> float:
     """Mean absolute error over all channels and frames. Lower is better."""
-    _check_pair(reference, estimate)
-    return _mae_arrays(reference.samples, estimate.samples, MetricConfig())
+    return _global(MetricId.GLOBAL_MAE, reference, estimate, MetricConfig())
 
 
 def global_mse(reference: Waveform, estimate: Waveform) -> float:
     """Mean squared error over all channels and frames. Lower is better."""
-    _check_pair(reference, estimate)
-    return _mse_arrays(reference.samples, estimate.samples, MetricConfig())
+    return _global(MetricId.GLOBAL_MSE, reference, estimate, MetricConfig())
 
 
 def si_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
@@ -272,8 +406,7 @@ def si_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricCo
     so pure gain errors do not count. Clamped to +-120 dB; a silent reference
     raises UndefinedMetricError.
     """
-    _check_pair(reference, estimate)
-    return _si_sdr_arrays(reference.samples, estimate.samples, cfg)
+    return _global(MetricId.GLOBAL_SI_SDR, reference, estimate, cfg)
 
 
 def bsseval_v3_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
@@ -283,40 +416,7 @@ def bsseval_v3_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = 
     for an exactly-zero error and raises UndefinedMetricError for an
     exactly-silent reference.
     """
-    _check_pair(reference, estimate)
-    return _bsseval_v3_arrays(reference.samples, estimate.samples, cfg)
-
-
-def _frame_values(
-    metric: MetricId, reference: Waveform, estimate: Waveform, cfg: MetricConfig,
-    frame_length: float, hop_length: float,
-) -> list:
-    """The surviving per-frame values of `metric`, in frame order (see framewise)."""
-    rate = reference.sample_rate
-    frame = int(round(frame_length * rate))
-    hop = int(round(hop_length * rate))
-    if frame <= 0 or hop <= 0:
-        raise InvalidInputError("frame and hop must be at least one sample")
-    total = reference.num_frames
-    if total < frame:
-        raise InvalidInputError(
-            f"signal of {total} frames is shorter than one {frame}-frame window"
-        )
-    evaluate = _ARRAY_EVALUATORS[metric]
-    ref = reference.samples
-    est = estimate.samples
-    values = []
-    for start in range(0, total - frame + 1, hop):
-        ref_slice = ref[:, start : start + frame]
-        if float(np.sum(ref_slice * ref_slice)) <= cfg.silent_frame_energy_floor:
-            continue
-        try:
-            values.append(evaluate(ref_slice, est[:, start : start + frame], cfg))
-        except UndefinedMetricError:
-            continue
-    if not values:
-        raise UndefinedMetricError("no frame produced a defined value")
-    return values
+    return _global(MetricId.BSSEVAL_V3_SDR, reference, estimate, cfg)
 
 
 def _aggregate(values: list, aggregation: Aggregation) -> float:
@@ -342,11 +442,14 @@ def framewise(
     Survivors are combined with cfg.aggregation.
     """
     _check_pair(reference, estimate)
-    if metric not in _ARRAY_EVALUATORS:
+    if metric not in _GLOBAL_IDS:
         raise InvalidInputError(f"{metric} is not a global metric id")
     if cfg.frame_length is None or cfg.hop_length is None:
         raise InvalidInputError("framewise evaluation needs frame_length and hop_length")
-    values = _frame_values(metric, reference, estimate, cfg, cfg.frame_length, cfg.hop_length)
+    grid = _grid(reference, cfg.frame_length, cfg.hop_length)
+    _, _, (values,) = _evaluate(reference, estimate, cfg, [(metric, grid)], False)
+    if not values:
+        raise UndefinedMetricError("no frame produced a defined value")
     return _aggregate(values, cfg.aggregation)
 
 
@@ -363,28 +466,35 @@ _FRAMEWISE_SERIES = (
 )
 
 
-def metric_suite(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> dict:
-    """Evaluate the whole comparison family on one pair.
+def metric_suite(reference, estimate, cfg: MetricConfig = MetricConfig()) -> dict:
+    """Evaluate the whole comparison family on one pair of Waveforms or WavHeaders.
 
     Returns {MetricId: value} in MetricId order. Each framewise series is
     computed once and reported as both its mean and its median. Metrics that
     are undefined for this pair, or whose frame is longer than the signal,
-    are absent from the result rather than reported as numbers.
+    are absent from the result rather than reported as numbers. Given
+    WavHeaders, the files are read block by block, twice at most, and never
+    decoded whole.
     """
     _check_pair(reference, estimate)
-    results = {}
-    for metric_id, evaluate in _ARRAY_EVALUATORS.items():
-        try:
-            results[metric_id] = evaluate(reference.samples, estimate.samples, cfg)
-        except UndefinedMetricError:
-            continue
+    series, ids = [], []
     for base, frame_length, hop_length, mean_id, median_id in _FRAMEWISE_SERIES:
         try:
-            values = _frame_values(base, reference, estimate, cfg, frame_length, hop_length)
-        except (UndefinedMetricError, InvalidInputError):
+            series.append((base, _grid(reference, frame_length, hop_length)))
+        except InvalidInputError:
             continue
-        results[mean_id] = _aggregate(values, Aggregation.MEAN)
-        results[median_id] = _aggregate(values, Aggregation.MEDIAN)
+        ids.append((mean_id, median_id))
+    totals, residual, values = _evaluate(reference, estimate, cfg, series, True)
+    results = {}
+    for base in _GLOBAL_IDS:
+        try:
+            results[base] = _value(base, totals, residual, reference.num_channels * reference.num_frames, cfg)
+        except UndefinedMetricError:
+            continue
+    for (mean_id, median_id), kept in zip(ids, values):
+        if kept:
+            results[mean_id] = _aggregate(kept, Aggregation.MEAN)
+            results[median_id] = _aggregate(kept, Aggregation.MEDIAN)
     return {metric_id: results[metric_id] for metric_id in MetricId if metric_id in results}
 
 

@@ -34,12 +34,9 @@ def write_pcm_wav(path, samples, bits, rate, trailer=b"", extensible=False):
     if bits == 16:
         body = samples.astype("<i2").tobytes()
     elif bits == 24:
-        flat = samples.astype(np.int64).ravel()
-        unsigned = np.where(flat < 0, flat + (1 << 24), flat)
-        raw = bytearray()
-        for value in unsigned:
-            raw += struct.pack("<I", int(value))[:3]
-        body = bytes(raw)
+        # the low three bytes of each little-endian two's-complement word
+        words = samples.astype("<i4").ravel().view(np.uint8).reshape(-1, 4)
+        body = words[:, :3].tobytes()
     else:
         raise ValueError(bits)
     fmt = _fmt_body(1, channels, rate, bits, extensible)
@@ -53,6 +50,16 @@ def write_pcm_wav(path, samples, bits, rate, trailer=b"", extensible=False):
         payload += b"\x00"
     payload += trailer
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(payload)) + b"WAVE" + payload)
+
+
+def pcm24_bytes_loop(samples):
+    """PCM24 payload packed one sample at a time: the reference for write_pcm_wav."""
+    flat = np.asarray(samples).astype(np.int64).ravel()
+    unsigned = np.where(flat < 0, flat + (1 << 24), flat)
+    raw = bytearray()
+    for value in unsigned:
+        raw += struct.pack("<I", int(value))[:3]
+    return bytes(raw)
 
 
 def write_float32_wav(path, samples, rate, trailer=b"", extensible=False):
@@ -127,6 +134,22 @@ def decode_wav_reference(path):
         else:
             values.append(int.from_bytes(word, "little", signed=True) / 2 ** (bits - 1))
     return np.array(values, dtype=np.float64).reshape(-1, channels).T
+
+
+def average_ranks_loop(values):
+    """Fractional ranks from 1, ties averaged, walking the sorted values one tie
+    group at a time: the reference for analysis._average_ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_values = values[order]
+    start = 0
+    while start < len(values):
+        stop = start
+        while stop + 1 < len(values) and sorted_values[stop + 1] == sorted_values[start]:
+            stop += 1
+        ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
+        start = stop + 1
+    return ranks
 
 
 def energy(waveform):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demixeval import analysis
 from demixeval.analysis import (
     CorrelationKind,
     MetricTable,
@@ -15,6 +16,8 @@ from demixeval.analysis import (
 from demixeval.audio_io import Waveform
 from demixeval.errors import InvalidInputError, UndefinedCorrelationError
 from demixeval.metrics import MetricId, bsseval_v3_sdr, global_mae, global_sdr
+
+from helpers import average_ranks_loop
 
 
 def covariance_formula_oracle(x, y):
@@ -223,3 +226,66 @@ class TestCorrelationMatrix:
         lines = matrix.to_csv().strip().split("\n")
         assert lines[0] == "metric,global_sdr,global_mae"
         assert len(lines) == 3
+
+
+class TestVectorisedCorrelation:
+    """correlation_matrix's masked columns and tie ranks against per-row loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]) | st.floats(-5, 5), max_size=40))
+    def test_ranks_match_loop(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert analysis._average_ranks(values).tobytes() == average_ranks_loop(values).tobytes()
+
+    @staticmethod
+    def _loop_matrix(table, kind):
+        """(values, missing) of each pair from rows walked one at a time."""
+        values, missing = {}, {}
+        metrics = tuple(table.columns)
+        for i, first in enumerate(metrics):
+            for second in metrics[i:]:
+                rows = [row for row in table.cells.values() if first in row and second in row]
+                xs = np.array([row[first] for row in rows])
+                ys = np.array([row[second] for row in rows])
+                if len(xs) < 2:
+                    missing[(first, second)] = missing[(second, first)] = f"only {len(xs)} co-present row(s)"
+                    continue
+                if kind is CorrelationKind.SPEARMAN:
+                    xs, ys = average_ranks_loop(xs), average_ranks_loop(ys)
+                try:
+                    value = pearson(xs, ys)
+                except UndefinedCorrelationError:
+                    missing[(first, second)] = missing[(second, first)] = "constant values"
+                    continue
+                values[(first, second)] = values[(second, first)] = value
+        return values, missing
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind), ids=str)
+    def test_matrix_matches_row_loop(self, rng, kind):
+        # ties in rounded columns, a tenth of their cells absent, a constant
+        # column, a column in row 0 only and one in rows 1 and 2 only
+        columns = tuple(MetricId)[:8]
+        table = MetricTable(columns=columns)
+        for index in range(300):
+            row = {}
+            for position, metric in enumerate(columns[:5]):
+                if rng.random() > 0.1:
+                    row[metric] = round(float(rng.standard_normal()), position % 3)
+            row[columns[5]] = 2.0
+            if index == 0:
+                row[columns[6]] = 1.0
+            if index in (1, 2):
+                row[columns[7]] = float(index)
+            table.add_row(("sys", f"song{index}", "vocals"), row)
+        matrix = correlation_matrix(table, kind)
+        values, missing = self._loop_matrix(table, kind)
+        assert {key: value.hex() for key, value in matrix.values.items()} == {
+            key: value.hex() for key, value in values.items()
+        }
+        assert matrix.missing == missing
+        assert set(missing.values()) == {"only 0 co-present row(s)", "only 1 co-present row(s)", "constant values"}
+
+    def test_empty_table(self):
+        matrix = correlation_matrix(MetricTable(columns=tuple(MetricId)[:2]), CorrelationKind.SPEARMAN)
+        assert matrix.values == {}
+        assert set(matrix.missing.values()) == {"only 0 co-present row(s)"}

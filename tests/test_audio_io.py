@@ -28,7 +28,7 @@ from demixeval.errors import (
     UnsupportedCodecError,
 )
 
-from helpers import decode_wav_reference, write_float32_wav, write_pcm_wav
+from helpers import decode_wav_reference, pcm24_bytes_loop, write_float32_wav, write_pcm_wav
 
 
 class TestWaveform:
@@ -623,3 +623,14 @@ class TestValidateSongAudio:
         entry.stem_paths[StemKind.OTHER].unlink()
         with pytest.raises(OSError):
             validate_song_audio(entry)
+
+
+def test_pcm24_writer_matches_sample_loop(tmp_path):
+    extremes = [-(1 << 23), -1, 0, (1 << 23) - 1]
+    rng = np.random.default_rng(24)
+    values = np.concatenate([extremes, rng.integers(-(1 << 23), 1 << 23, 995)]).reshape(-1, 3)
+    path = tmp_path / "pcm24.wav"
+    write_pcm_wav(path, values, 24, 8000)
+    raw = path.read_bytes()
+    start = raw.index(b"data") + 8
+    assert raw[start : start + values.size * 3] == pcm24_bytes_loop(values)
