@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -93,7 +94,7 @@ class MetricTable:
             if metric not in self.columns:
                 raise InvalidInputError(f"unknown column {metric}")
             value = float(value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InvalidInputError(f"non-finite value for {metric} at {key}")
             row[metric] = value
         self.cells[key] = row
@@ -208,7 +209,10 @@ def read_metric_table_csv(path) -> MetricTable:
     Header: system_id,song_id,stem,<metric>,... Empty cells mean the metric
     is absent for that row.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

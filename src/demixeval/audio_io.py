@@ -52,7 +52,7 @@ class StemKind(Enum):
     def from_name(cls, name: str) -> "StemKind":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ManifestError(f"unknown stem kind {name!r}") from None
 
 
@@ -362,6 +362,14 @@ class DatasetManifest:
         return [s for s in self.songs if not s.is_demo]
 
 
+def _typed(value, kind: type, what: str):
+    """value, if it has the JSON type kind (list, str or bool); else a ManifestError."""
+    if not isinstance(value, kind):
+        name = {list: "list", str: "string", bool: "boolean"}[kind]
+        raise ManifestError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest.
 
@@ -371,7 +379,7 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: top level must be an object")
@@ -381,7 +389,7 @@ def load_manifest(path) -> DatasetManifest:
     base = path.parent
 
     songs = []
-    for index, record in enumerate(doc["songs"]):
+    for index, record in enumerate(_typed(doc["songs"], list, f"{path}: songs")):
         if not isinstance(record, dict):
             raise ManifestError(f"{path}: song record {index} must be an object")
         song_id = record.get("song_id")
@@ -392,22 +400,23 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"song {song_id}: missing stems object")
         stem_paths = {}
         for key, value in stems_doc.items():
-            stem_paths[StemKind.from_name(key)] = base / value
+            stem_paths[StemKind.from_name(key)] = base / _typed(value, str, f"song {song_id}: stem {key!r} path")
         if "mixture" not in record:
             raise ManifestError(f"song {song_id}: missing mixture path")
-        silent = frozenset(
-            StemKind.from_name(name) for name in record.get("silent_stems", [])
-        )
+        silent_names = _typed(record.get("silent_stems", []), list, f"song {song_id}: silent_stems")
+        silent = frozenset(StemKind.from_name(name) for name in silent_names)
         try:
             entry = SongEntry(
                 song_id=str(song_id),
                 stem_paths=stem_paths,
-                mixture_path=base / record["mixture"],
+                mixture_path=base / _typed(record["mixture"], str, f"song {song_id}: mixture path"),
                 genre=str(record.get("genre", "")),
                 language=str(record.get("language", "")),
                 title=str(record.get("title", "")),
-                other_instruments=tuple(record.get("other_instruments", [])),
-                is_demo=bool(record.get("is_demo", False)),
+                other_instruments=tuple(
+                    _typed(record.get("other_instruments", []), list, f"song {song_id}: other_instruments")
+                ),
+                is_demo=_typed(record.get("is_demo", False), bool, f"song {song_id}: is_demo"),
                 silent_stems=silent,
             )
         except ManifestError as exc:

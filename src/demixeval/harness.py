@@ -110,6 +110,8 @@ def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
 
     Deterministic for a given seed; demo songs are assigned to no round.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     eligible = [song.song_id for song in manifest.eligible_songs()]
     if len(eligible) < 3:
         raise InvalidInputError(

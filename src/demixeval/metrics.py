@@ -10,22 +10,26 @@ BSS Eval style SDR without the stabilizer, and framewise variants with mean or
 median aggregation) exists for cross-metric comparisons. All accumulation is
 in float64.
 
-The SDR energies (sum ||s||^2 and sum ||s - s_hat||^2) are reduced channel by
-channel in fixed blocks of 2**16 samples: numpy's sum within a block, block
-sums added left to right. They agree with an exactly rounded math.fsum to
-1e-12 relative, and depend only on the sample values, never on the memory
-layout or the thread count, so scores are bit-identical across runs and
---jobs. streamed_sdr feeds the same reduction from WAVE files, one decoded
-block at a time, and so gives the in-memory score bit for bit.
+Every metric takes Waveforms or WavHeaders, in any mix, and comes from one
+blocked reduction, _walk. It reads both signals in fixed blocks of 2**16
+frames, from memory or one decoded block at a time from WAVE files, and per
+channel sums rows built one at a time in a reused buffer. There are three
+row sets:
 
-The rest of the family comes from one more reduction over the same blocks,
-in memory or from WAVE files. It sums s**2, (s - s_hat)**2, |s - s_hat| and
-s * s_hat per channel and block, adding the block sums as above, so its
-global_sdr and bsseval_v3_sdr are the SDR kernel's bit for bit. Frames add
-the pieces block edges cut them into, in order. MAE and MSE agree with their
+- SDR: s**2 and (s - s_hat)**2, for global_sdr and streamed_sdr;
+- suite: those two plus |s - s_hat| and s * s_hat, for the rest of the
+  family, globally and on units of frames;
+- SI-SDR residual: (s_hat - a s)**2, summed as it stands in a second pass.
+
+Global sums are numpy's sum within a block, the block sums added
+channel-major, left to right. The SDR energies agree with an exactly
+rounded math.fsum to 1e-12 relative, and depend only on the sample values,
+never on the memory layout, the thread count or whether they come from a
+file, so scores are bit-identical across runs and --jobs, and the suite's
+global_sdr and bsseval_v3_sdr are the SDR's bit for bit. Frames add the
+pieces block edges cut them into, in order. MAE and MSE agree with their
 formulas over exactly rounded sums to 1e-12 relative, the other dB metrics
-to 1e-10 dB. SI-SDR sums its residual (s_hat - a s)**2 as it stands, in a
-second pass over the blocks.
+to 1e-10 dB.
 """
 
 from __future__ import annotations
@@ -136,56 +140,16 @@ def _clamp_db(value: float) -> float:
     return max(-DB_CLAMP, min(DB_CLAMP, value))
 
 
-def _array_blocks(samples: np.ndarray) -> Iterator[np.ndarray]:
-    """(channels, <= _ENERGY_BLOCK) views of a (channels, frames) array, in frame order."""
-    for start in range(0, samples.shape[1], _ENERGY_BLOCK):
-        yield samples[:, start : start + _ENERGY_BLOCK]
-
-
-def _reduce_energies(block_pairs) -> tuple:
-    """(sum ref**2, sum (ref - est)**2) over (ref, est) block pairs in frame order.
-
-    Each pair holds the same (channels, <= _ENERGY_BLOCK) columns of both
-    signals. Per channel row of a block, numpy sums a contiguous product
-    built in one reused buffer; the sums are kept and added channel-major,
-    block sums left to right. No BLAS call, whose threaded reduction order
-    could vary between runs, and the result does not depend on where the
-    blocks come from.
-    """
-    scratch = np.empty(_ENERGY_BLOCK)
-    parts = []  # per block, per channel: (sum ref**2, sum (ref - est)**2)
-    for ref, est in block_pairs:
-        row_parts = []
-        for ref_row, est_row in zip(ref, est):
-            product = scratch[: ref_row.shape[0]]
-            np.multiply(ref_row, ref_row, out=product)
-            ref_energy = float(np.sum(product))
-            np.subtract(ref_row, est_row, out=product)
-            np.multiply(product, product, out=product)
-            row_parts.append((ref_energy, float(np.sum(product))))
-        parts.append(row_parts)
-    signal = 0.0
-    noise = 0.0
-    for channel_parts in zip(*parts):
-        for block_signal, block_noise in channel_parts:
-            signal += block_signal
-            noise += block_noise
-    return signal, noise
-
-
-def _energies(ref: np.ndarray, est: np.ndarray) -> tuple:
-    """(sum ref**2, sum (ref - est)**2) over (channels, frames) arrays."""
-    return _reduce_energies(zip(_array_blocks(ref), _array_blocks(est)))
-
-
 def _sdr_db(signal: float, noise: float, cfg: MetricConfig) -> float:
     return 10.0 * math.log10((signal + cfg.epsilon) / (noise + cfg.epsilon))
 
 
 def _blocks(source) -> Iterator[np.ndarray]:
+    """(channels, <= _ENERGY_BLOCK) blocks of a Waveform or WavHeader, in frame order."""
     if isinstance(source, WavHeader):
         return read_wav_blocks(source, _ENERGY_BLOCK)
-    return _array_blocks(source.samples)
+    samples = source.samples
+    return (samples[:, start : start + _ENERGY_BLOCK] for start in range(0, samples.shape[1], _ENERGY_BLOCK))
 
 
 # Rows of the blocked sums: s**2, (s - s_hat)**2, |s - s_hat| and s * s_hat
@@ -199,7 +163,8 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
     contiguous row) pairs, computed one at a time into a reused buffer. A
     sum array is (depth, channels, frames // unit + 1), its last column
     taking the frames past the last whole unit; a unit cut by a block edge
-    adds its pieces in order.
+    adds its pieces in order. No BLAS call, whose threaded reduction order
+    could vary between runs.
     """
     sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
     start = 0
@@ -221,12 +186,32 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
     return sums
 
 
-def _reduce(reference, estimate, units) -> tuple:
-    """(totals, {unit: sums}) of the four rows over Waveforms or WavHeaders.
+def _totals(block_sums: np.ndarray) -> np.ndarray:
+    """Per row, the (depth, channels, blocks) sums added channel-major, blocks left to right."""
+    totals = np.zeros(len(block_sums))
+    for block in block_sums.transpose(1, 2, 0).reshape(-1, len(block_sums)):
+        totals += block
+    return totals
 
-    totals adds the per-block sums channel-major, blocks left to right, as
-    _reduce_energies does: its _SIGNAL and _NOISE entries are that kernel's
-    result bit for bit.
+
+def _energies(reference, estimate) -> tuple:
+    """(sum s**2, sum (s - s_hat)**2) of two Waveforms or WavHeaders: the SDR rows."""
+    scratch = np.empty(_ENERGY_BLOCK)
+
+    def rows(ref, est, start):
+        out = scratch[: ref.shape[0]]
+        yield _SIGNAL, np.multiply(ref, ref, out=out)
+        np.subtract(ref, est, out=out)
+        yield _NOISE, np.multiply(out, out, out=out)
+
+    signal, noise = _totals(_walk(reference, estimate, (_ENERGY_BLOCK,), 2, rows)[_ENERGY_BLOCK])
+    return float(signal), float(noise)
+
+
+def _reduce(reference, estimate, units) -> tuple:
+    """(totals, {unit: sums}) of the four suite rows over Waveforms or WavHeaders.
+
+    The _SIGNAL and _NOISE totals are _energies' bit for bit.
     """
     scratch = np.empty(_ENERGY_BLOCK)
 
@@ -239,10 +224,7 @@ def _reduce(reference, estimate, units) -> tuple:
         yield _NOISE, np.multiply(out, out, out=out)
 
     sums = _walk(reference, estimate, {_ENERGY_BLOCK, *units}, 4, products)
-    totals = np.zeros(4)
-    for block in sums[_ENERGY_BLOCK].transpose(1, 2, 0).reshape(-1, 4):
-        totals += block
-    return totals, sums
+    return _totals(sums[_ENERGY_BLOCK]), sums
 
 
 def _compose(unit_sums: np.ndarray, k: int, m: int, count: int) -> np.ndarray:
@@ -374,7 +356,7 @@ def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = Metr
     10*log10((E + eps)/(E + eps)) = 0 dB, and silent/silent scores exactly 0 dB.
     """
     _check_pair(reference, estimate)
-    return _sdr_db(*_energies(reference.samples, estimate.samples), cfg)
+    return _sdr_db(*_energies(reference, estimate), cfg)
 
 
 def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> float:
@@ -386,7 +368,7 @@ def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> flo
     bit for bit.
     """
     _check_pair(reference, estimate)
-    return _sdr_db(*_reduce_energies(zip(_blocks(reference), _blocks(estimate))), cfg)
+    return _sdr_db(*_energies(reference, estimate), cfg)
 
 
 def global_mae(reference: Waveform, estimate: Waveform) -> float:

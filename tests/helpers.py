@@ -136,6 +136,23 @@ def decode_wav_reference(path):
     return np.array(values, dtype=np.float64).reshape(-1, channels).T
 
 
+def sdr_energies_reference(ref, est):
+    """(sum ref**2, sum (ref - est)**2) of (channels, frames) arrays, added as the SDR kernel adds them.
+
+    Per channel row of each block of 2**16 frames, numpy sums a contiguous
+    product; the sums are added channel-major, block sums left to right.
+    """
+    block = 1 << 16
+    signal = noise = 0.0
+    for ref_row, est_row in zip(ref, est):
+        for start in range(0, len(ref_row), block):
+            ref_block = ref_row[start : start + block]
+            diff = ref_block - est_row[start : start + block]
+            signal += float(np.sum(ref_block * ref_block))
+            noise += float(np.sum(diff * diff))
+    return signal, noise
+
+
 def average_ranks_loop(values):
     """Fractional ranks from 1, ties averaged, walking the sorted values one tie
     group at a time: the reference for analysis._average_ranks."""

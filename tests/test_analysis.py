@@ -123,6 +123,19 @@ class TestMetricTable:
         with pytest.raises(InvalidInputError):
             table.add_row(("s", "s", "bass"), {MetricId.GLOBAL_SDR: float("inf")})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_nan_and_negative_infinity_rejected(self, value):
+        table = MetricTable()
+        with pytest.raises(InvalidInputError, match=r"^non-finite value for global_mae at \('s', 's', 'bass'\)$"):
+            table.add_row(("s", "s", "bass"), {MetricId.GLOBAL_SDR: 1.0, MetricId.GLOBAL_MAE: value})
+        assert len(table) == 0
+
+    def test_unknown_column_rejected_before_value_check(self):
+        table = MetricTable(columns=(MetricId.GLOBAL_SDR,))
+        with pytest.raises(InvalidInputError, match="^unknown column global_mae$"):
+            table.add_row(("s", "s", "bass"), {MetricId.GLOBAL_MAE: float("nan")})
+        assert len(table) == 0
+
     def test_csv_round_trip(self, tmp_path):
         table = MetricTable(columns=(MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE))
         table.add_row(("sys", "a", "bass"), {MetricId.GLOBAL_SDR: 3.25})

@@ -405,6 +405,70 @@ def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
     _assert_error_line(capsys)
 
 
+def _assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["plan", "score"])
+def test_negative_seed_rejected(dataset, baseline_submission, capsys, command):
+    args = [command, "--manifest", str(dataset), "--seed=-3"]
+    if command == "score":
+        args += ["--estimates", str(baseline_submission), "--system", "s", "--leaderboard", "B",
+                 "--training-data", "none", "--jobs", "1"]
+    assert run(args) == 1
+    _assert_one_error_line(capsys, "seed must be >= 0, got -3")
+
+
+def _set(*keys, value):
+    """An edit of a manifest document that sets doc[keys[0]][keys[1]]... to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("latin-1", "not valid JSON ('utf-8' codec can't decode"),
+        (_set("songs", value=5), "songs must be a JSON list, got 5"),
+        (_set("songs", 0, "stems", "bass", value=3), "stem 'bass' path must be a JSON string, got 3"),
+        (_set("songs", 0, "mixture", value=["mix.wav"]), "mixture path must be a JSON string, got ['mix.wav']"),
+        (_set("songs", 0, "other_instruments", value=3), "other_instruments must be a JSON list, got 3"),
+        (_set("songs", 0, "other_instruments", value="gtr"), "other_instruments must be a JSON list, got 'gtr'"),
+        (_set("songs", 0, "silent_stems", value=3), "silent_stems must be a JSON list, got 3"),
+        (_set("songs", 0, "silent_stems", value="bass"), "silent_stems must be a JSON list, got 'bass'"),
+        (_set("songs", 0, "silent_stems", value=[3]), "unknown stem kind 3"),
+        (_set("songs", 0, "is_demo", value="false"), "is_demo must be a JSON boolean, got 'false'"),
+        ("table", "not UTF-8 text ('utf-8' codec can't decode"),
+    ],
+    ids=["manifest-latin-1", "songs", "stem-path", "mixture", "other-int", "other-str",
+         "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1"],
+)
+def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, edit, message):
+    path = tmp_path / "input"
+    if edit == "table":
+        path.write_bytes("system_id,song_id,stem,global_sdr\nsyst\u00e8me,a,bass,1.0\n".encode("latin-1"))
+        args = ["analyze", "--table", str(path), "--kind", "pearson"]
+    else:
+        doc = json.loads(dataset.read_text())
+        if edit == "latin-1":
+            doc["songs"][0]["title"] = "Caf\u00e9"
+            path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        else:
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        args = ["plan", "--manifest", str(path), "--seed", "0"]
+    assert run(args) == 1
+    _assert_one_error_line(capsys, message)
+
+
 @pytest.mark.parametrize("flag, values", [("--epsilon", ("1e-7", "1e-5")), ("--seed", ("4", "5"))])
 def test_rank_refuses_documents_scored_differently(
     dataset, baseline_submission, tmp_path, capsys, flag, values

@@ -95,7 +95,7 @@ class TestEnergyReduction:
         return math.fsum((ref * ref).ravel()), math.fsum((diff * diff).ravel())
 
     def assert_within_tolerance(self, ref, est):
-        for got, exact in zip(_energies(ref, est), self.fsum_energies(ref, est)):
+        for got, exact in zip(_energies(Waveform(ref, 8000), Waveform(est, 8000)), self.fsum_energies(ref, est)):
             assert abs(got - exact) <= 1e-12 * exact
 
     def test_random_signal_matches_fsum(self, rng):
@@ -126,14 +126,14 @@ class TestEnergyReduction:
             (strided[:, ::2], strided_est[:, ::2]),
             (np.asfortranarray(ref), np.asfortranarray(est)),
         ]
-        expected = _energies(ref, est)
+        expected = _energies(Waveform(ref, 8000), Waveform(est, 8000))
         contiguous = Waveform(ref, 8000), Waveform(est, 8000)
         sdr = global_sdr(*contiguous)
         v3 = bsseval_v3_sdr(*contiguous)
         whole = MetricConfig(frame_length=frames / 8000, hop_length=frames / 8000)
         for r, e in layouts:
-            assert _energies(r, e) == expected
-            assert _energies(r, e) == expected  # repeated call
+            assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected
+            assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected  # repeated call
             pair = Waveform(r, 8000), Waveform(e, 8000)
             assert global_sdr(*pair) == sdr
             assert bsseval_v3_sdr(*pair) == v3

@@ -17,14 +17,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demixeval.audio_io import SongEntry, StemKind, Waveform, load_manifest, read_wav, write_wav
+from demixeval.audio_io import SongEntry, StemKind, Waveform, load_manifest, read_wav, read_wav_header, write_wav
 from demixeval.cli import run
 from demixeval.errors import AudioFormatError, CorruptFileError, InvalidInputError
 from demixeval.harness import score_song
-from demixeval.metrics import _ENERGY_BLOCK, global_sdr
+from demixeval.metrics import _ENERGY_BLOCK, _energies, global_sdr
 from demixeval.synth import make_dataset
 
-from helpers import add_partial_frame, write_encoded_wav, write_float32_wav
+from helpers import add_partial_frame, sdr_energies_reference, write_encoded_wav, write_float32_wav
 
 RATE = 8000
 CODECS = ("pcm16", "pcm24", "float32")
@@ -105,6 +105,20 @@ class TestBitIdentity:
             assert score.per_stem.values[kind].hex() == expected.hex()
         assert score.excluded_stems == {StemKind.BASS: "silent reference"}
         assert score.sdr_song == (expected + expected + expected) / 3
+
+
+class TestKernelBits:
+    """The SDR energies from _walk equal the per-block loop the kernel was, bit for bit."""
+
+    @pytest.mark.parametrize("frames", FRAME_COUNTS)
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_energies_equal_block_loop(self, tmp_path, codec, channels, frames):
+        ref_path, est_path = _pair(tmp_path, codec, channels, frames)
+        reference, estimate = read_wav(ref_path), read_wav(est_path)
+        expected = sdr_energies_reference(reference.samples, estimate.samples)
+        assert _energies(reference, estimate) == expected
+        assert _energies(read_wav_header(ref_path), read_wav_header(est_path)) == expected
 
 
 class TestErrors:

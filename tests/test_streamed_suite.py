@@ -80,7 +80,7 @@ class TestHeadersEqualWaveforms:
         # the SDR ids are score's kernel, bit for bit
         ref, est = read_wav(ref_path), read_wav(est_path)
         assert streamed[MetricId.GLOBAL_SDR] == streamed_sdr(read_wav_header(ref_path), read_wav_header(est_path))
-        signal, noise = _energies(ref.samples, est.samples)
+        signal, noise = _energies(ref, est)
         if signal:
             assert streamed[MetricId.BSSEVAL_V3_SDR] == max(-DB_CLAMP, min(DB_CLAMP, 10 * math.log10(signal / noise)))
 
