@@ -12,6 +12,7 @@ buffers, same parser, decoder and checks, bit-identical samples.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -270,32 +271,66 @@ def read_wav_blocks(header: WavHeader, block_frames: int) -> Iterator[np.ndarray
             yield _read_frames(handle, header, raw, out[:, :count])
 
 
+def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
+    """(channels, <= block_frames) blocks of a Waveform or WavHeader, in frame order.
+
+    A WavHeader's come from read_wav_blocks, each overwritten when the next is drawn.
+    """
+    if isinstance(source, WavHeader):
+        return read_wav_blocks(source, block_frames)
+    samples = source.samples
+    return (samples[:, start : start + block_frames] for start in range(0, samples.shape[1], block_frames))
+
+
+def write_wav_blocks(paths, num_channels: int, num_frames: int, sample_rate: int, blocks) -> None:
+    """Write one IEEE float 32-bit WAVE file per path from (files, channels, n) sample blocks.
+
+    The frame count is known, so each header goes first; row i of every
+    block is appended to file i. The blocks must hold num_frames finite
+    frames in all. Files are written as <path>.partial and renamed once all
+    are complete; on any error all of them, and any file at paths, are
+    removed. Zero-frame files are refused before any file is opened.
+    """
+    if num_frames == 0:
+        raise InvalidInputError("refusing to write a waveform with zero frames")
+    frame_bytes = num_channels * 4
+    data_size = num_frames * frame_bytes
+    # RIFF size counts WAVE, the 16-byte fmt and 4-byte fact chunks, and the data chunk
+    header = struct.pack(
+        "<4sI4s" "4sIHHIIHH" "4sII" "4sI", b"RIFF", 4 + 24 + 12 + 8 + data_size, b"WAVE",
+        b"fmt ", 16, _WAVE_IEEE_FLOAT, num_channels, sample_rate, sample_rate * frame_bytes, frame_bytes, 32,
+        b"fact", 4, num_frames, b"data", data_size,
+    )
+    partial = [Path(f"{path}.partial") for path in paths]
+    written = 0
+    try:
+        with contextlib.ExitStack() as files:
+            handles = [files.enter_context(open(path, "wb")) for path in partial]
+            for handle in handles:
+                handle.write(header)
+            for block in blocks:
+                if block.shape[:2] != (len(handles), num_channels) or not np.isfinite(block).all():
+                    raise InvalidInputError(f"blocks must be {len(handles)} files x {num_channels} channels, finite")
+                for handle, samples in zip(handles, block):
+                    handle.write(np.ascontiguousarray(samples.T, dtype="<f4").data)
+                written += block.shape[2]
+        if written != num_frames:
+            raise InvalidInputError(f"blocks hold {written} frames, the header declares {num_frames}")
+        for path, final in zip(partial, paths):
+            path.replace(final)
+    except BaseException:
+        for path in [*partial, *map(Path, paths)]:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def write_wav(waveform: Waveform, path) -> None:
-    """Write a Waveform as an IEEE float 32-bit WAVE file.
+    """Write a Waveform as an IEEE float 32-bit WAVE file: write_wav_blocks' one-block case.
 
     read_wav(write_wav(w)) reproduces w exactly when its samples are
     float32-representable. Zero-frame waveforms are rejected.
     """
-    if waveform.num_frames == 0:
-        raise InvalidInputError("refusing to write a waveform with zero frames")
-    interleaved = np.ascontiguousarray(waveform.samples.T, dtype="<f4")
-    channels = waveform.num_channels
-    rate = waveform.sample_rate
-    fmt_body = struct.pack(
-        "<HHIIHH", _WAVE_IEEE_FLOAT, channels, rate, rate * channels * 4, channels * 4, 32
-    )
-    fact_body = struct.pack("<I", waveform.num_frames)
-    header = b"".join(
-        [
-            b"fmt ", struct.pack("<I", len(fmt_body)), fmt_body,
-            b"fact", struct.pack("<I", len(fact_body)), fact_body,
-            b"data", struct.pack("<I", interleaved.nbytes),
-        ]
-    )
-    riff = b"RIFF" + struct.pack("<I", 4 + len(header) + interleaved.nbytes) + b"WAVE"
-    with open(path, "wb") as handle:
-        handle.write(riff + header)
-        handle.write(interleaved.data)
+    write_wav_blocks([path], waveform.num_channels, waveform.num_frames, waveform.sample_rate, [waveform.samples[None]])
 
 
 @dataclass(frozen=True)
@@ -363,9 +398,9 @@ class DatasetManifest:
 
 
 def _typed(value, kind: type, what: str):
-    """value, if it has the JSON type kind (list, str or bool); else a ManifestError."""
-    if not isinstance(value, kind):
-        name = {list: "list", str: "string", bool: "boolean"}[kind]
+    """value, if it has the JSON type kind (list, str, bool or int); else a ManifestError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = {list: "list", str: "string", bool: "boolean", int: "integer"}[kind]
         raise ManifestError(f"{what} must be a JSON {name}, got {value!r}")
     return value
 
@@ -395,6 +430,7 @@ def load_manifest(path) -> DatasetManifest:
         song_id = record.get("song_id")
         if not song_id:
             raise ManifestError(f"{path}: song record {index} has no song_id")
+        _typed(song_id, str, f"{path}: song record {index}: song_id")
         stems_doc = record.get("stems")
         if not isinstance(stems_doc, dict):
             raise ManifestError(f"song {song_id}: missing stems object")
@@ -407,7 +443,7 @@ def load_manifest(path) -> DatasetManifest:
         silent = frozenset(StemKind.from_name(name) for name in silent_names)
         try:
             entry = SongEntry(
-                song_id=str(song_id),
+                song_id=song_id,
                 stem_paths=stem_paths,
                 mixture_path=base / _typed(record["mixture"], str, f"song {song_id}: mixture path"),
                 genre=str(record.get("genre", "")),
@@ -423,12 +459,7 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"{path}: {exc}") from None
         songs.append(entry)
 
-    try:
-        sample_rate = int(doc["sample_rate"])
-    except (TypeError, ValueError):
-        raise ManifestError(
-            f"{path}: sample_rate must be an integer, got {doc['sample_rate']!r}"
-        ) from None
+    sample_rate = _typed(doc["sample_rate"], int, f"{path}: sample_rate")
     return DatasetManifest(tuple(songs), str(doc["name"]), sample_rate)
 
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import load_manifest, read_wav, read_wav_header, validate_song_audio, write_wav
+from .audio_io import StemKind, load_manifest, read_wav_header, validate_song_audio, write_wav_blocks
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import MetricConfig, MetricId, metric_suite
 from .harness import Leaderboard
@@ -143,19 +143,14 @@ def cmd_rank(args) -> int:
 
 def _oracle_task(task):
     entry, kind, cfg, out_root = task
-    mixture = read_wav(entry.mixture_path)
-    if kind == "baseline":
-        estimates = oracle.mixture_baseline(mixture)
-    else:
-        references = {stem: read_wav(path) for stem, path in entry.stem_paths.items()}
-        if kind == "swf":
-            estimates = oracle.ideal_swf(mixture, references, cfg)
-        else:
-            estimates = oracle.ideal_mwf(mixture, references, cfg)
+    mixture = read_wav_header(entry.mixture_path)
+    stem_paths = {} if kind == "baseline" else entry.stem_paths
+    references = {stem: read_wav_header(path) for stem, path in stem_paths.items()}
+    blocks = oracle.separate(kind, mixture, references, cfg)  # checks every header first
     song_dir = Path(out_root) / entry.song_id
     song_dir.mkdir(parents=True, exist_ok=True)
-    for stem, waveform in estimates.items():
-        write_wav(waveform, song_dir / f"{stem.value}.wav")
+    paths = [song_dir / f"{stem.value}.wav" for stem in StemKind]
+    write_wav_blocks(paths, mixture.num_channels, mixture.num_frames, mixture.sample_rate, blocks)
     return entry.song_id
 
 

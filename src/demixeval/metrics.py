@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .audio_io import StemKind, Waveform, WavHeader, read_wav_blocks
+from .audio_io import StemKind, Waveform, sample_blocks
 from .errors import InvalidInputError, UndefinedMetricError
 
 DB_CLAMP = 120.0  # stand-in for +-infinity; far outside any realistic score
@@ -144,14 +144,6 @@ def _sdr_db(signal: float, noise: float, cfg: MetricConfig) -> float:
     return 10.0 * math.log10((signal + cfg.epsilon) / (noise + cfg.epsilon))
 
 
-def _blocks(source) -> Iterator[np.ndarray]:
-    """(channels, <= _ENERGY_BLOCK) blocks of a Waveform or WavHeader, in frame order."""
-    if isinstance(source, WavHeader):
-        return read_wav_blocks(source, _ENERGY_BLOCK)
-    samples = source.samples
-    return (samples[:, start : start + _ENERGY_BLOCK] for start in range(0, samples.shape[1], _ENERGY_BLOCK))
-
-
 # Rows of the blocked sums: s**2, (s - s_hat)**2, |s - s_hat| and s * s_hat
 _SIGNAL, _NOISE, _ABS, _CROSS = range(4)
 
@@ -168,7 +160,7 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
     """
     sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
     start = 0
-    for ref, est in zip(_blocks(reference), _blocks(estimate)):
+    for ref, est in zip(sample_blocks(reference, _ENERGY_BLOCK), sample_blocks(estimate, _ENERGY_BLOCK)):
         count = ref.shape[1]
         runs = []  # (sums, lo, hi, first unit, piece length)
         for unit, unit_sums in sums.items():

@@ -9,23 +9,28 @@ Two upper-bound systems built on an in-house STFT:
   cannot.
 
 Plus mixture_baseline, the lower bound that returns the mixture for every
-stem.
+stem. separate() streams any of the three over Waveforms or WAVE files: it
+reads the mixture and stems together, _CHUNK_FRAMES STFT frames at a time,
+carries the samples and open overlap-add sums later frames share, and
+yields finished estimates, so its working set does not grow with the song.
 
-stft, istft and ideal_swf outputs are exact and must stay bit for bit.
-ideal_mwf is within 1e-7 * max|mixture| of a per-bin np.linalg.inv filter
-at the default config (its 2x2 system is badly conditioned where one panned
-source dominates) and within 1e-12 * max|mixture| at regularization 1e-3.
+No output depends on the chunk size: every sample sums its frames in
+increasing order. stft, istft and ideal_swf are exact and must stay bit for
+bit. ideal_mwf is within 1e-7 * max|mixture| of a per-bin np.linalg.inv
+filter at the default config (its 2x2 system is badly conditioned where one
+panned source dominates) and within 1e-12 * max|mixture| at regularization
+1e-3.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .audio_io import StemKind, Waveform
+from .audio_io import StemKind, Waveform, sample_blocks
 from .errors import InvalidInputError
 
 
@@ -85,14 +90,6 @@ class Spectrogram:
             )
         return bins
 
-    @property
-    def num_channels(self) -> int:
-        return self.bins.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.bins.shape[2]
-
     def with_bins(self, bins: np.ndarray) -> "Spectrogram":
         """Same geometry, new bin values; finiteness is left to istft's Waveform."""
         spectrogram = copy.copy(self)
@@ -104,6 +101,38 @@ def _hann_periodic(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
+def _check_length(num_frames: int, cfg: OracleConfig) -> None:
+    if num_frames <= cfg.fft_size:
+        raise InvalidInputError(f"waveform of {num_frames} frames is too short for fft_size {cfg.fft_size}")
+
+
+def _frame_count(num_frames: int, cfg: OracleConfig) -> int:
+    """STFT frames of a signal padded by fft_size zeros on both ends."""
+    return 1 + -(-(num_frames + cfg.fft_size) // cfg.hop)
+
+
+def _analysis(padded: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """rfft of each windowed frame, one every hop samples of the last axis: (..., frames, bins)."""
+    frames = np.lib.stride_tricks.sliding_window_view(padded, len(window), axis=-1)[..., ::hop, :]
+    return np.fft.rfft(frames * window, axis=-1)
+
+
+def _overlap_add(frames: np.ndarray, head: np.ndarray, hop: int) -> np.ndarray:
+    """Sums of (..., n, fft_size) frames laid every hop samples onto head, the sums earlier frames left open.
+
+    No later frame reaches the first n * hop sums. One whole-array add per hop-sized piece r of the
+    frames, last piece first, so each sample sums its frames in increasing order, across calls too.
+    """
+    *lead, n, length = frames.shape
+    pieces = -(-length // hop)
+    sums = np.zeros((*lead, (n + pieces - 1) * hop))
+    sums[..., : head.shape[-1]] = head
+    for r in reversed(range(pieces)):
+        span, width = slice(r * hop, (r + 1) * hop), min(hop, length - r * hop)
+        sums[..., r * hop : (r + n) * hop].reshape(*lead, n, hop)[..., :width] += frames[..., span]
+    return sums
+
+
 def stft(waveform: Waveform, cfg: OracleConfig = OracleConfig()) -> Spectrogram:
     """Windowed overlapping rfft frames, periodic Hann analysis window.
 
@@ -112,30 +141,13 @@ def stft(waveform: Waveform, cfg: OracleConfig = OracleConfig()) -> Spectrogram:
     reproduces w on its full support (hop <= fft_size/2 required for full
     coverage, the default is 4x overlap).
     """
-    if waveform.num_frames <= cfg.fft_size:
-        raise InvalidInputError(
-            f"waveform of {waveform.num_frames} frames is too short for fft_size {cfg.fft_size}"
-        )
+    _check_length(waveform.num_frames, cfg)
     length, hop = cfg.fft_size, cfg.hop
-    pad = length
-    total = waveform.num_frames + 2 * pad
-    n_frames = 1 + int(np.ceil((total - length) / hop))
-    padded_length = (n_frames - 1) * hop + length
-
-    padded = np.zeros((waveform.num_channels, padded_length))
-    padded[:, pad : pad + waveform.num_frames] = waveform.samples
-
-    window = _hann_periodic(length)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::hop, :]
-    # rfft along axis 1 of a (channels, length, frames) view: bins come out
-    # in (channels, bins, frames) order, laid out frame-major in memory
-    return Spectrogram(
-        bins=np.fft.rfft(frames.transpose(0, 2, 1) * window[:, None], axis=1),
-        fft_size=length,
-        hop=hop,
-        sample_rate=waveform.sample_rate,
-        signal_length=waveform.num_frames,
-    )
+    padded = np.zeros((waveform.num_channels, (_frame_count(waveform.num_frames, cfg) - 1) * hop + length))
+    padded[:, length : length + waveform.num_frames] = waveform.samples
+    # (channels, frames, bins) viewed as (channels, bins, frames), frame-major in memory
+    bins = _analysis(padded, _hann_periodic(length), hop).transpose(0, 2, 1)
+    return Spectrogram(bins, length, hop, waveform.sample_rate, waveform.num_frames)
 
 
 def istft(spectrogram: Spectrogram) -> Waveform:
@@ -144,50 +156,46 @@ def istft(spectrogram: Spectrogram) -> Waveform:
     Applies the Hann window again on synthesis and normalizes by the window
     square sum, which makes istft(stft(w)) == w wherever frames cover the
     signal and is the least-squares resynthesis for modified spectrograms.
-    Overlap-add is one whole-array add per hop-sized piece r of the window,
-    last piece first, so each sample sums its frames in increasing order.
     """
     length, hop = spectrogram.fft_size, spectrogram.hop
-    channels, _, n_frames = spectrogram.bins.shape
-    frames = np.fft.irfft(spectrogram.bins.transpose(0, 2, 1), n=length, axis=2)
     window = _hann_periodic(length)
+    frames = np.fft.irfft(spectrogram.bins.transpose(0, 2, 1), n=length, axis=2)
     frames *= window
-
-    pieces = -(-length // hop)
-    accumulated = np.zeros((channels, (n_frames + pieces - 1) * hop))
-    weight = np.zeros(accumulated.shape[1])
-    window_sq = window * window
-    for r in reversed(range(pieces)):
-        span, width = slice(r * hop, (r + 1) * hop), min(hop, length - r * hop)
-        target = slice(r * hop, (r + n_frames) * hop)
-        accumulated[:, target].reshape(channels, n_frames, hop)[..., :width] += frames[..., span]
-        weight[target].reshape(n_frames, hop)[:, :width] += window_sq[span]
-
-    pad = length
-    signal = slice(pad, pad + spectrogram.signal_length)
+    sums = _overlap_add(frames, np.zeros(0), hop)
+    weight = _overlap_add(np.broadcast_to(window * window, frames.shape[1:]), np.zeros(0), hop)
+    signal = slice(length, length + spectrogram.signal_length)
     # zero-weight positions exist only inside the synthetic padding
-    samples = accumulated[:, signal] / np.maximum(weight[signal], np.finfo(np.float64).tiny)
+    samples = sums[:, signal] / np.maximum(weight[signal], np.finfo(np.float64).tiny)
     return Waveform(samples, spectrogram.sample_rate)
 
 
-def _check_oracle_inputs(mixture: Waveform, references: Mapping[StemKind, Waveform]) -> None:
+def _check_oracle_inputs(mixture, references: Mapping, cfg: OracleConfig, multichannel: bool) -> None:
+    """Every check of an oracle's inputs, on Waveforms or WavHeaders alike."""
     if not references:
         raise InvalidInputError("at least one reference stem is required")
+    shape = (mixture.num_channels, mixture.num_frames)
     for kind, stem in references.items():
         if not isinstance(kind, StemKind):
             raise InvalidInputError(f"unknown stem key {kind!r}")
-        if stem.samples.shape != mixture.samples.shape:
-            raise InvalidInputError(
-                f"stem {kind} shape {stem.samples.shape} does not match "
-                f"mixture shape {mixture.samples.shape}"
-            )
+        if (stem.num_channels, stem.num_frames) != shape:
+            stem_shape = (stem.num_channels, stem.num_frames)
+            raise InvalidInputError(f"stem {kind} shape {stem_shape} does not match mixture shape {shape}")
         if stem.sample_rate != mixture.sample_rate:
             raise InvalidInputError(f"stem {kind} sample rate differs from the mixture")
+    if multichannel and mixture.num_channels != 2:
+        raise InvalidInputError(f"the multichannel Wiener oracle needs 2 channels, got {mixture.num_channels}")
+    _check_length(mixture.num_frames, cfg)
 
 
-def swf_masks(
-    references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()
-) -> dict:
+def _ratio_masks(stem_bins: np.ndarray, exponent: float) -> np.ndarray:
+    """|S_k|^p / (sum_j |S_j|^p + delta) for stem bins stacked on axis 0."""
+    powers = np.abs(stem_bins) ** exponent
+    # relative + absolute stabilizer: keeps the float-rounded mask sum <= 1
+    # per bin and maps all-silent bins to mask 0
+    return powers / (sum(powers) * (1.0 + 16.0 * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny)
+
+
+def swf_masks(references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()) -> dict:
     """Ratio masks from the true stem spectrograms.
 
     mask_k = |S_k|^p / (sum_j |S_j|^p + delta) per channel and TF bin, with
@@ -195,58 +203,139 @@ def swf_masks(
     and sum to at most 1 per bin.
     """
     kinds = [k for k in StemKind if k in references]
-    powers = {
-        kind: np.abs(stft(references[kind], cfg).bins) ** cfg.mask_exponent for kind in kinds
-    }
-    total = sum(powers[kind] for kind in kinds)
-    # relative + absolute stabilizer: keeps the float-rounded mask sum <= 1
-    # per bin and maps all-silent bins to mask 0
-    denominator = total * (1.0 + 16.0 * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny
-    return {kind: powers[kind] / denominator for kind in kinds}
+    stem_bins = np.stack([stft(references[kind], cfg).bins for kind in kinds])
+    return dict(zip(kinds, _ratio_masks(stem_bins, cfg.mask_exponent)))
 
 
-def ideal_swf(
-    mixture: Waveform,
-    references: Mapping[StemKind, Waveform],
-    cfg: OracleConfig = OracleConfig(),
-) -> dict:
-    """Soft Wiener filter oracle: estimate_k = istft(mask_k * STFT(mixture))."""
-    _check_oracle_inputs(mixture, references)
-    mix_spec = stft(mixture, cfg)
-    masks = swf_masks(references, cfg)
-    return {
-        kind: istft(mix_spec.with_bins(mask * mix_spec.bins))
-        for kind, mask in masks.items()
-    }
-
-
-def _covariance(spec_bins: np.ndarray, width: int) -> tuple:
-    """Hermitian per-bin stereo covariance (|L|^2, |R|^2, L conj(R)), each (F, T)."""
-    left, right = spec_bins
-    power_left = left.real**2 + left.imag**2
-    power_right = right.real**2 + right.imag**2
-    return tuple(_smooth_time(v, width) for v in (power_left, power_right, left * right.conj()))
-
-
-def _smooth_time(values: np.ndarray, width: int) -> np.ndarray:
-    """Truncated moving average along the frame axis of an (F, T, ...) array."""
-    if width <= 1:
+def _smooth_time(values: np.ndarray, half: int, start: int, stop: int, total: int) -> np.ndarray:
+    """Per frame start..stop - 1, the mean of the song's frames within half; values starts at max(start - half, 0)."""
+    if not half:
         return values
-    half = width // 2
-    frames = values.shape[1]
-    zero = np.zeros_like(values[:, :1])
-    cumulative = np.concatenate([zero, np.cumsum(values, axis=1)], axis=1)
-    high = np.minimum(np.arange(frames) + half + 1, frames)
-    low = np.maximum(np.arange(frames) - half, 0)
-    counts = (high - low).reshape((1, frames) + (1,) * (values.ndim - 2))
-    return (cumulative[:, high] - cumulative[:, low]) / counts
+    edges = [(max(half - start, 0), max(stop + half - total, 0))] + [(0, 0)] * (values.ndim - 1)
+    padded = np.pad(values, edges)
+    sums = sum(padded[offset : offset + stop - start] for offset in range(2 * half + 1))
+    frames = np.arange(start, stop)
+    counts = np.minimum(frames + half + 1, total) - np.maximum(frames - half, 0)
+    return sums / counts[:, None]
 
 
-def ideal_mwf(
-    mixture: Waveform,
-    references: Mapping[StemKind, Waveform],
-    cfg: OracleConfig = OracleConfig(),
-) -> dict:
+def _mwf_bins(spec: np.ndarray, cfg: OracleConfig, start: int, stop: int, total: int) -> np.ndarray:
+    """Multichannel Wiener estimate bins (stems, 2, frames, bins) of frames start..stop - 1.
+
+    spec stacks the mixture's and the stems' STFT frames from
+    max(start - half, 0) to min(stop + half, total), half = covariance_frames // 2.
+    """
+    half = cfg.covariance_frames // 2
+    covariances = []  # per stem, the Hermitian (|L|^2, |R|^2, L conj(R)) of each bin
+    for left, right in spec[1:]:
+        # conj(R) L in this operand order: a complex product's rounding depends on the order
+        # (fused multiply-adds), and numpy swaps L * R.conj() when it reuses a large temporary
+        values = (left.real**2 + left.imag**2, right.real**2 + right.imag**2, right.conj() * left)
+        covariances.append([_smooth_time(v, half, start, stop, total) for v in values])
+    # sum() starts from 0, so these are new arrays and safe to update in place
+    left, right, cross = (sum(cov[i] for cov in covariances) for i in range(3))
+
+    # absolute epsilon keeps the matrix invertible at all-silent bins
+    lam = cfg.mwf_regularization * ((left + right) / 2.0) + np.finfo(np.float64).eps
+    left += lam
+    right += lam
+    det = left * right - (cross.real**2 + cross.imag**2)
+    first = max(start - half, 0)
+    x_left, x_right = spec[0][:, start - first : stop - first]
+    y_left = (right * x_left - cross * x_right) / det
+    y_right = (left * x_right - cross.conj() * x_left) / det
+    return np.array(
+        [[r_l * y_left + r_x * y_right, r_x.conj() * y_left + r_r * y_right] for r_l, r_r, r_x in covariances]
+    )
+
+
+# STFT frames per streamed chunk. On 30-s 16 kHz songs at 4096/1024, 8 to 16
+# frames were fastest, 64 about 20 % and 256 about 70 % slower; 16 keeps the
+# blocks longer at small FFT sizes. A chunk's spectra then stay a few MB.
+_CHUNK_FRAMES = 16
+
+
+def separate(kind: str, mixture, references: Mapping, cfg: OracleConfig = OracleConfig()) -> Iterator[np.ndarray]:
+    """An oracle's estimates, streamed as (stems, channels, n) float64 blocks in frame order.
+
+    kind is "swf" (ideal_swf), "mwf" (ideal_mwf) or "baseline" (the mixture for all four stems,
+    references unused). Inputs are Waveforms or WavHeaders; stems come in StemKind order. Every input
+    check runs before this returns. A block is valid until the next is drawn; NaN or Inf in float
+    data raises CorruptFileError at the block that holds it.
+    """
+    if kind == "baseline":
+        blocks = sample_blocks(mixture, _CHUNK_FRAMES * cfg.hop)
+        return (np.broadcast_to(block, (len(StemKind),) + block.shape) for block in blocks)
+    if kind not in ("swf", "mwf"):
+        raise InvalidInputError(f"unknown oracle kind {kind!r}")
+    _check_oracle_inputs(mixture, references, cfg, multichannel=kind == "mwf")
+    return _stream(kind == "mwf", mixture, references, cfg)
+
+
+def _stream(multichannel: bool, mixture, references: Mapping, cfg: OracleConfig) -> Iterator[np.ndarray]:
+    """separate()'s chunk loop for SWF and MWF.
+
+    Chunk j's buffer holds the padded samples [j * step - 2 * half * hop, (j + 1) * step + fft_size) of
+    every signal, step = _CHUNK_FRAMES * hop, half = covariance_frames // 2 for MWF and 0 for SWF. It
+    filters the frames up to half before its last, from spectra of half more on either side, and
+    yields the samples no later frame reaches.
+    """
+    length, hop = cfg.fft_size, cfg.hop
+    half = cfg.covariance_frames // 2 if multichannel else 0
+    window = _hann_periodic(length)
+    signals = [mixture] + [references[kind] for kind in StemKind if kind in references]
+    total = _frame_count(mixture.num_frames, cfg)
+    step, carried = _CHUNK_FRAMES * hop, 2 * half * hop + length
+    buffer = np.zeros((len(signals), mixture.num_channels, carried + step))
+    blocks = zip(*(sample_blocks(signal, step) for signal in signals))
+    sums = weights = np.zeros(0)  # overlap-add sums left open by earlier chunks
+    chunk = done = 0  # done: frames filtered so far
+    while done < total:
+        buffer[..., :carried] = buffer[..., step:]
+        buffer[..., carried:] = 0.0
+        for row, block in zip(buffer, next(blocks, ())):
+            row[:, carried : carried + block.shape[1]] = block
+        origin = chunk * step + length - carried  # padded position of the buffer's first sample
+        chunk += 1
+        stop = min(chunk * _CHUNK_FRAMES + 1 - half, total)
+        if stop <= done:  # a halo wider than a chunk
+            continue
+        low, high = max(done - half, 0), min(stop + half, total)
+        spec = _analysis(buffer[..., low * hop - origin : (high - 1) * hop + length - origin], window, hop)
+        if multichannel:
+            bins = _mwf_bins(spec, cfg, done, stop, total)
+        else:
+            bins = _ratio_masks(spec[1:], cfg.mask_exponent) * spec[0]
+        frames = np.fft.irfft(bins, n=length, axis=-1)
+        frames *= window
+        sums = _overlap_add(frames, sums, hop)
+        weights = _overlap_add(np.broadcast_to(window * window, frames.shape[-2:]), weights, hop)
+        # final samples start at padded position done * hop, the signal at fft_size
+        final, offset = (stop - done) * hop, done * hop - length
+        lo, hi = max(-offset, 0), min(final, mixture.num_frames - offset)
+        if lo < hi:
+            yield sums[..., lo:hi] / np.maximum(weights[lo:hi], np.finfo(np.float64).tiny)
+        sums, weights = sums[..., final:], weights[final:]
+        done = stop
+
+
+def _collect(kind: str, mixture, references: Mapping, cfg: OracleConfig) -> dict:
+    """separate()'s stream as whole Waveforms, {stem: estimate}."""
+    out = np.empty((len(references), mixture.num_channels, mixture.num_frames))
+    start = 0
+    for block in separate(kind, mixture, references, cfg):
+        out[..., start : start + block.shape[-1]] = block
+        start += block.shape[-1]
+    kinds = [kind for kind in StemKind if kind in references]  # the stream's stem order
+    return {kind: Waveform(samples, mixture.sample_rate) for kind, samples in zip(kinds, out)}
+
+
+def ideal_swf(mixture: Waveform, references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()) -> dict:
+    """Soft Wiener filter oracle: estimate_k = istft(mask_k * STFT(mixture))."""
+    return _collect("swf", mixture, references, cfg)
+
+
+def ideal_mwf(mixture: Waveform, references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()) -> dict:
     """Multichannel Wiener filter oracle for stereo signals.
 
     Per TF bin, each source contributes an empirical 2x2 spatial covariance
@@ -257,37 +346,7 @@ def ideal_mwf(
     inverse (real determinant) is applied to the mixture once,
     Y = (sum_j R_j + lambda I)^-1 X, and each estimate is istft(R_k Y).
     """
-    _check_oracle_inputs(mixture, references)
-    if mixture.num_channels != 2:
-        raise InvalidInputError(
-            f"the multichannel Wiener oracle needs 2 channels, got {mixture.num_channels}"
-        )
-    mix_spec = stft(mixture, cfg)
-    covariances = {
-        kind: _covariance(stft(references[kind], cfg).bins, cfg.covariance_frames)
-        for kind in StemKind
-        if kind in references
-    }
-    # sum() starts from 0, so these are new arrays and safe to update in place
-    left, right, cross = (sum(cov[i] for cov in covariances.values()) for i in range(3))
-
-    # absolute epsilon keeps the matrix invertible at all-silent bins
-    lam = cfg.mwf_regularization * ((left + right) / 2.0) + np.finfo(np.float64).eps
-    left += lam
-    right += lam
-    det = left * right - (cross.real**2 + cross.imag**2)
-    x_left, x_right = mix_spec.bins
-    y_left = (right * x_left - cross * x_right) / det
-    y_right = (left * x_right - cross.conj() * x_left) / det
-    del left, right, cross, lam, det  # lowers the peak held through the istft loop
-
-    estimates = {}
-    for kind, (r_left, r_right, r_cross) in covariances.items():
-        out = np.empty_like(mix_spec.bins)
-        np.add(r_left * y_left, r_cross * y_right, out=out[0])
-        np.add(r_cross.conj() * y_left, r_right * y_right, out=out[1])
-        estimates[kind] = istft(mix_spec.with_bins(out))
-    return estimates
+    return _collect("mwf", mixture, references, cfg)
 
 
 def mixture_baseline(mixture: Waveform) -> dict:

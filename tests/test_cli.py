@@ -447,9 +447,16 @@ def _set(*keys, value):
         (_set("songs", 0, "silent_stems", value=[3]), "unknown stem kind 3"),
         (_set("songs", 0, "is_demo", value="false"), "is_demo must be a JSON boolean, got 'false'"),
         ("table", "not UTF-8 text ('utf-8' codec can't decode"),
+        (_set("songs", 0, "song_id", value=["a"]), "song record 0: song_id must be a JSON string, got ['a']"),
+        (_set("songs", 0, "song_id", value=7), "song record 0: song_id must be a JSON string, got 7"),
+        (_set("sample_rate", value=4000.9), "sample_rate must be a JSON integer, got 4000.9"),
+        (_set("sample_rate", value=16000.0), "sample_rate must be a JSON integer, got 16000.0"),
+        (_set("sample_rate", value="16000"), "sample_rate must be a JSON integer, got '16000'"),
+        (_set("sample_rate", value=True), "sample_rate must be a JSON integer, got True"),
     ],
     ids=["manifest-latin-1", "songs", "stem-path", "mixture", "other-int", "other-str",
-         "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1"],
+         "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1",
+         "song-id-list", "song-id-int", "rate-fraction", "rate-float", "rate-str", "rate-bool"],
 )
 def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, edit, message):
     path = tmp_path / "input"
