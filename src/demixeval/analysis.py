@@ -83,6 +83,11 @@ class MetricTable:
     columns: tuple = tuple(MetricId)
     cells: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for index, column in enumerate(self.columns):
+            if column in self.columns[:index]:
+                raise InvalidInputError(f"duplicate column {column}")
+
     def add_row(self, key: RowKey, values: Mapping[MetricId, float]) -> None:
         key = tuple(key)
         if len(key) != 3:
@@ -226,7 +231,10 @@ def read_metric_table_csv(path) -> MetricTable:
         columns = tuple(MetricId(name) for name in header[3:])
     except ValueError as exc:
         raise InvalidInputError(f"{path}: unknown metric column ({exc})") from None
-    table = MetricTable(columns=columns)
+    try:
+        table = MetricTable(columns=columns)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue

@@ -169,7 +169,15 @@ def cmd_oracle(args) -> int:
         ],
     )
     tasks = [(entry, args.kind, cfg, args.out) for entry in manifest.songs]
-    for song_id in harness.fan_out(_oracle_task, tasks, args.jobs):
+    try:
+        song_ids = harness.fan_out(_oracle_task, tasks, args.jobs)
+    finally:
+        # a worker the pool stopped mid-song had no chance to remove its
+        # files; by now no writer is alive
+        for entry in manifest.songs:
+            for partial in Path(args.out, entry.song_id).glob("*.wav.partial"):
+                partial.unlink()
+    for song_id in song_ids:
         print(f"wrote {song_id}")
     return 0
 

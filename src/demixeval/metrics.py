@@ -20,6 +20,9 @@ row sets:
 - suite: those two plus |s - s_hat| and s * s_hat, for the rest of the
   family, globally and on units of frames;
 - SI-SDR residual: (s_hat - a s)**2, summed as it stands in a second pass.
+  a is constant over each unit, so a block multiplies each whole unit by
+  its scale in one broadcast product, and the unit pieces at its edges by
+  one scalar each; no per-sample index is built.
 
 Global sums are numpy's sum within a block, the block sums added
 channel-major, left to right. The SDR energies agree with an exactly
@@ -148,6 +151,14 @@ def _sdr_db(signal: float, noise: float, cfg: MetricConfig) -> float:
 _SIGNAL, _NOISE, _ABS, _CROSS = range(4)
 
 
+def _cuts(start: int, count: int, unit: int) -> tuple:
+    """(head, stop) of a block of count frames at frame start: [0, head) ends a
+    unit begun in an earlier block, [head, stop) holds whole units and
+    [stop, count) begins a unit that a later block ends."""
+    head = min(-start % unit, count)
+    return head, count - (count - head) % unit
+
+
 def _walk(reference, estimate, units, depth, rows) -> dict:
     """{unit: per-channel sums of rows(ref, est, start) on each unit of that many frames}.
 
@@ -164,8 +175,7 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
         count = ref.shape[1]
         runs = []  # (sums, lo, hi, first unit, piece length)
         for unit, unit_sums in sums.items():
-            head = min(-start % unit, count)  # ends a unit begun in an earlier block
-            stop = count - (count - head) % unit
+            head, stop = _cuts(start, count, unit)
             for lo, hi in ((0, head), (head, stop), (stop, count)):
                 if lo < hi:
                     runs.append((unit_sums, lo, hi, (start + lo) // unit, min(unit, hi - lo)))
@@ -286,7 +296,10 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     is summed as it stands in a second pass, once each a = sum s s_hat /
     sum s**2 is known (sum s_hat**2 - 2a sum s s_hat + a**2 sum s**2 cancels
     badly near a * s). Overlapping frames fall into ceil(k / m) classes of
-    disjoint frames, one row of per-unit scales each.
+    disjoint frames, one row of per-unit scales each. A row multiplies the
+    block's whole units by their scales in one broadcast product and the
+    pieces _cuts leaves at the block's edges by one scalar each, with no
+    per-sample index.
     """
     floor = cfg.silent_frame_energy_floor
     totals, sums = _reduce(reference, estimate, {grid[0] for _, grid in series})
@@ -310,9 +323,13 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
 
         def rows(ref, est, start):
             out = scratch[: ref.shape[0]]
-            units_of_frames = (start + np.arange(ref.shape[0])) // unit
+            head, stop = _cuts(start, ref.shape[0], unit)
+            first, last = (start + head) // unit, (start + stop) // unit
             for row, unit_scales in enumerate(scales):
-                np.multiply(unit_scales[units_of_frames], ref, out=out)
+                np.multiply(ref[:head], unit_scales[start // unit], out=out[:head])
+                np.multiply(ref[head:stop].reshape(-1, unit), unit_scales[first:last, None],
+                            out=out[head:stop].reshape(-1, unit))
+                np.multiply(ref[stop:], unit_scales[last], out=out[stop:])
                 np.subtract(est, out, out=out)
                 yield row, np.multiply(out, out, out=out)
 

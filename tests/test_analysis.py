@@ -136,6 +136,15 @@ class TestMetricTable:
             table.add_row(("s", "s", "bass"), {MetricId.GLOBAL_MAE: float("nan")})
         assert len(table) == 0
 
+    def test_duplicate_column_rejected(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="^duplicate column global_sdr$"):
+            MetricTable(columns=(MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE, MetricId.GLOBAL_SDR))
+        path = tmp_path / "table.csv"
+        path.write_text("system_id,song_id,stem,global_sdr,global_sdr\ns,a,bass,1,2\n")
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_metric_table_csv(path)
+        assert str(excinfo.value) == f"{path}: duplicate column global_sdr"
+
     def test_csv_round_trip(self, tmp_path):
         table = MetricTable(columns=(MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE))
         table.add_row(("sys", "a", "bass"), {MetricId.GLOBAL_SDR: 3.25})

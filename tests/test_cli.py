@@ -396,6 +396,15 @@ def test_analyze_non_numeric_cell(tmp_path, capsys):
     _assert_error_line(capsys)
 
 
+def test_analyze_duplicate_metric_column(tmp_path, capsys):
+    # read column by column, the two global_sdr columns correlate at -0.5
+    path = tmp_path / "table.csv"
+    path.write_text("system_id,song_id,stem,global_sdr,global_sdr\n"
+                    "s,a,bass,1,3\ns,b,bass,2,1\ns,c,bass,3,2\n")
+    assert run(["analyze", "--table", str(path), "--kind", "pearson"]) == 1
+    _assert_one_error_line(capsys, f"{path}: duplicate column global_sdr")
+
+
 def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
     doc = json.loads(dataset.read_text())
     doc["sample_rate"] = "abc"

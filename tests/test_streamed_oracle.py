@@ -264,6 +264,24 @@ def test_cli_nan_in_last_block_leaves_no_output(broken_copy, capsys, kind, jobs)
     _assert_rejected(broken_copy, kind, jobs, capsys, f"{victim}: float data contains NaN or Inf")
 
 
+def test_cli_stopped_workers_leave_no_partial_file(tmp_path, capsys):
+    # with two workers syn_002, 20 times longer, is still being written when
+    # syn_001's error reaches the parent and the pool stops its worker
+    manifest_path = make_dataset(tmp_path / "dataset", n_songs=3, duration=2, sample_rate=RATE, seed=11)
+    songs = load_manifest(manifest_path).songs
+    songs[1].mixture_path.write_bytes(b"RIFF")
+    for path in (songs[2].mixture_path, *songs[2].stem_paths.values()):
+        write_wav(Waveform(np.tile(read_wav(path).samples, 20), RATE), path)
+    out = tmp_path / "out"
+    code, _, err, _ = _oracle(manifest_path, "mwf", 4096, 1024, 2, out, capsys)
+    assert code == 1
+    assert err == f"error: {songs[1].mixture_path}: not a RIFF/WAVE file\n"
+    assert list(out.rglob("*.partial")) == []
+    frames = {entry.song_id: read_wav(entry.mixture_path).num_frames for entry in (songs[0], songs[2])}
+    for path in out.rglob("*.wav"):  # no truncated file
+        assert read_wav(path).num_frames == frames[path.parent.name]
+
+
 class TestBlockWriter:
     def test_blocks_must_fill_the_declared_frames(self, tmp_path):
         paths = [tmp_path / "a.wav", tmp_path / "b.wav"]

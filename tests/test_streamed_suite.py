@@ -6,8 +6,9 @@ tests pin that walk: WavHeaders give the decoded Waveforms' values bit for
 bit, every id lies within the stated tolerance of an exactly rounded
 math.fsum reference, the SI-SDR residual survives a near-perfect estimate,
 every fault ends in one `error:` line, the working set does not grow with
-the song, and `suite` stdout matches output recorded before the suite read
-in blocks.
+the song, `suite` stdout matches output recorded before the suite read in
+blocks, and the SI-SDR residual pass keeps the bits recorded before its rows
+applied their per-unit scales by broadcast.
 """
 
 import math
@@ -256,7 +257,7 @@ def test_framewise_any_frame_and_hop(base, frame_s, hop_s):
 
 class TestWorkingSet:
     # two read buffers, the (4, channels, block) products and the residual
-    # temporaries: about 7.5 MB measured for stereo
+    # rows' scratch: about 3.8 MB measured for stereo
     PEAK_BOUND = 32_000_000
 
     def _peak(self, tmp_path, seconds):
@@ -497,3 +498,153 @@ def test_cli_mismatch(tmp_path, capsys, channels, frames, rate, detail):
     write_encoded_wav(ref_path, "float32", np.zeros((100, 2)), RATE)
     write_encoded_wav(est_path, "float32", np.zeros((frames, channels)), rate)
     assert _cli_error(ref_path, est_path, capsys) == f"error: {detail}\n"
+
+
+# ---------------------------------------------------------------------------
+# SI-SDR residual bits
+
+# (channels, frames, rate, framewise SI-SDR frame s and hop s): 1 s units cut
+# by block edges, overlapping frames, a unit longer than a block (88200
+# frames), a one-sample unit (1401 and 1000 frames are coprime) and a signal
+# shorter than the suite's 1 s unit
+RESIDUAL_CASES = {
+    "unit-1s": (2, 3 * _ENERGY_BLOCK + 1234, RATE, 1.0, 1.0),
+    "half-hop": (2, 3 * _ENERGY_BLOCK + 1234, RATE, 1.0, 0.5),
+    "unit-0.7s": (1, 3 * _ENERGY_BLOCK + 1234, RATE, 0.7, 0.7),
+    "unit-over-block": (1, 3 * _ENERGY_BLOCK + 1234, 44100, 2.0, 2.0),
+    "unit-1-sample": (3, 3 * _ENERGY_BLOCK + 1234, RATE, 0.7005, 0.5),
+    "shorter-than-unit": (2, RATE - 500, RATE, 0.5, 0.25),
+}
+
+
+def _residual_bits(channels, frames, rate, frame_s, hop_s):
+    """float.hex of every metric_suite value and of framewise SI-SDR's mean and median.
+
+    The reference has a silent second at 3 s and the estimate's gain drifts,
+    so each frame's SI-SDR scale differs.
+    """
+    rng = np.random.default_rng([channels, frames, rate, round(frame_s * rate), round(hop_s * rate)])
+    ref = 0.2 * rng.standard_normal((channels, frames))
+    ref[:, 3 * rate : 4 * rate] = 0.0
+    est = np.linspace(0.5, 1.5, frames) * ref + 0.05 * rng.standard_normal((channels, frames))
+    reference, estimate = Waveform(ref, rate), Waveform(est, rate)
+    bits = {str(metric_id): value.hex() for metric_id, value in metric_suite(reference, estimate).items()}
+    for aggregation in Aggregation:
+        cfg = MetricConfig(frame_length=frame_s, hop_length=hop_s, aggregation=aggregation)
+        bits[f"framewise_si_sdr_{aggregation.value}"] = framewise(
+            MetricId.GLOBAL_SI_SDR, reference, estimate, cfg
+        ).hex()
+    return bits
+
+
+# _residual_bits of each case, recorded before the residual rows applied their
+# per-unit scales by broadcast
+RECORDED_RESIDUAL_BITS = {
+    "unit-1s": {
+        "global_sdr": "0x1.0c7af86292e90p+3",
+        "framewise_sdr_mean": "0x1.1fec03ed774aap+3",
+        "framewise_sdr_median": "0x1.25eb12b8ee0d5p+3",
+        "global_mae": "0x1.debaa9cd460a9p-5",
+        "framewise_mae_mean": "0x1.de1bd5e86e9eep-5",
+        "framewise_mae_median": "0x1.c9436456f65e7p-5",
+        "global_mse": "0x1.772d9657f5e0ap-8",
+        "framewise_mse_mean": "0x1.7588270ff10f1p-8",
+        "framewise_mse_median": "0x1.404173d7ed9f9p-8",
+        "global_si_sdr": "0x1.0dd06e625afd6p+3",
+        "framewise_si_sdr_mean": "0x1.750414e80c26cp+3",
+        "framewise_si_sdr_median": "0x1.7ecfb30e3d478p+3",
+        "bsseval_v3_sdr": "0x1.0c7af862a9717p+3",
+        "bsseval_v3_framewise_sdr_mean": "0x1.31d1bb80bd376p+3",
+        "bsseval_v3_framewise_sdr_median": "0x1.351f838a85fa4p+3",
+        "bsseval_v4_framewise_sdr_mean": "0x1.1fec03f9118c5p+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.25eb12c36b491p+3",
+    },
+    "half-hop": {
+        "global_sdr": "0x1.0c0e0ba2171d9p+3",
+        "framewise_sdr_mean": "0x1.1fac4c1e837ecp+3",
+        "framewise_sdr_median": "0x1.252617b69f256p+3",
+        "global_mae": "0x1.dedd2c4e0ede7p-5",
+        "framewise_mae_mean": "0x1.ddff4a56829fcp-5",
+        "framewise_mae_median": "0x1.c51953b97453dp-5",
+        "global_mse": "0x1.771aa247dd987p-8",
+        "framewise_mse_mean": "0x1.750ce55b3815ap-8",
+        "framewise_mse_median": "0x1.3af793621d6aep-8",
+        "global_si_sdr": "0x1.0d105ae2593a6p+3",
+        "framewise_si_sdr_mean": "0x1.7338ec0d15babp+3",
+        "framewise_si_sdr_median": "0x1.8272ebbe67de0p+3",
+        "bsseval_v3_sdr": "0x1.0c0e0ba22da42p+3",
+        "bsseval_v3_framewise_sdr_mean": "0x1.314b7e6007613p+3",
+        "bsseval_v3_framewise_sdr_median": "0x1.334d0ba9d12b9p+3",
+        "bsseval_v4_framewise_sdr_mean": "0x1.1fac4c2a23e6ap+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.252617c1892cap+3",
+    },
+    "unit-0.7s": {
+        "global_sdr": "0x1.0ba170eb4aa58p+3",
+        "framewise_sdr_mean": "0x1.1f663a131f82cp+3",
+        "framewise_sdr_median": "0x1.22258ac9af0a8p+3",
+        "global_mae": "0x1.e085983bfb83fp-5",
+        "framewise_mae_mean": "0x1.dfa8af9d8cc8bp-5",
+        "framewise_mae_median": "0x1.cd372c5b16fcdp-5",
+        "global_mse": "0x1.7a5c68e393bb7p-8",
+        "framewise_mse_mean": "0x1.78406ce346926p-8",
+        "framewise_mse_median": "0x1.46acf0c6382aep-8",
+        "global_si_sdr": "0x1.0cd41cc7fa5fbp+3",
+        "framewise_si_sdr_mean": "0x1.71bb1c2376d24p+3",
+        "framewise_si_sdr_median": "0x1.7e4608d878d1cp+3",
+        "bsseval_v3_sdr": "0x1.0ba170eb77497p+3",
+        "bsseval_v3_framewise_sdr_mean": "0x1.3128566aa5b23p+3",
+        "bsseval_v3_framewise_sdr_median": "0x1.343e449ea24fcp+3",
+        "bsseval_v4_framewise_sdr_mean": "0x1.1f663a2a38817p+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.22258addfc6d4p+3",
+    },
+    "unit-over-block": {
+        "global_sdr": "0x1.f749ed1243a22p+2",
+        "framewise_sdr_mean": "0x1.2f6c387c6b3c1p+3",
+        "framewise_sdr_median": "0x1.47d3282faf181p+3",
+        "global_mae": "0x1.bdec18f5bb8dcp-5",
+        "framewise_mae_mean": "0x1.c187a271ef5d3p-5",
+        "framewise_mae_median": "0x1.8ff2ef05f3418p-5",
+        "global_mse": "0x1.4da5f00b36e3cp-8",
+        "framewise_mse_mean": "0x1.4d189b4ce6cafp-8",
+        "framewise_mse_median": "0x1.f293964d217ecp-9",
+        "global_si_sdr": "0x1.d3e2ebb5b675ep+2",
+        "framewise_si_sdr_mean": "0x1.19e77838c4295p+3",
+        "framewise_si_sdr_median": "0x1.19e77838c4295p+3",
+        "bsseval_v3_sdr": "0x1.f749ed12a6c5bp+2",
+        "bsseval_v4_framewise_sdr_mean": "0x1.2f6c387d95df1p+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.47d32830f1485p+3",
+    },
+    "unit-1-sample": {
+        "global_sdr": "0x1.0c2999f7f864ap+3",
+        "framewise_sdr_mean": "0x1.1fea24d76e366p+3",
+        "framewise_sdr_median": "0x1.1e951877a716ep+3",
+        "global_mae": "0x1.dea7b87a556f5p-5",
+        "framewise_mae_mean": "0x1.ddf6726718bb3p-5",
+        "framewise_mae_median": "0x1.c7315b52ad72cp-5",
+        "global_mse": "0x1.7763a68b7cacfp-8",
+        "framewise_mse_mean": "0x1.7594a17390122p-8",
+        "framewise_mse_median": "0x1.40de6d5b7439ap-8",
+        "global_si_sdr": "0x1.0d093ebda9c28p+3",
+        "framewise_si_sdr_mean": "0x1.737689187c0e5p+3",
+        "framewise_si_sdr_median": "0x1.7fa3f5595c53ep+3",
+        "bsseval_v3_sdr": "0x1.0c2999f80766ap+3",
+        "bsseval_v3_framewise_sdr_mean": "0x1.314e1d7e391a8p+3",
+        "bsseval_v3_framewise_sdr_median": "0x1.3357075564ab8p+3",
+        "bsseval_v4_framewise_sdr_mean": "0x1.1fea24df323edp+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.1e95187e94898p+3",
+    },
+    "shorter-than-unit": {
+        "global_sdr": "0x1.0964ebec6185bp+3",
+        "global_mae": "0x1.e38aad603133dp-5",
+        "global_mse": "0x1.821c69014e2f2p-8",
+        "global_si_sdr": "0x1.0b74a0c148a64p+3",
+        "bsseval_v3_sdr": "0x1.0964ebf79e59ep+3",
+        "framewise_si_sdr_mean": "0x1.3e209cda6dc2ep+3",
+        "framewise_si_sdr_median": "0x1.3e209cda6dc2ep+3",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(RESIDUAL_CASES))
+def test_residual_bits_match_recorded(case):
+    assert _residual_bits(*RESIDUAL_CASES[case]) == RECORDED_RESIDUAL_BITS[case]
