@@ -1,3 +1,18 @@
-from .cli import main
+"""Process entry point of `python -m demixeval` and the `demixeval` script."""
 
-main()
+import os
+import sys
+
+
+def main() -> None:
+    # Before numpy loads: its OpenBLAS would otherwise start a spinning worker
+    # per extra core. The CLI makes no BLAS call, so one thread costs nothing,
+    # and an inherited value could only add start-up time.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .cli import run
+
+    sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -31,7 +31,13 @@ class CorrelationKind(Enum):
 
 
 def pearson(x, y) -> float:
-    """Product-moment correlation of two equal-length sequences."""
+    """Product-moment correlation of two equal-length sequences.
+
+    The three sums of products are np.add.reduce's pairwise sums, within
+    1e-12 of a correlation from exactly rounded (math.fsum) sums. No BLAS
+    dot product: OpenBLAS splits a long one across threads, so its bits would
+    depend on the thread count.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
@@ -40,11 +46,11 @@ def pearson(x, y) -> float:
         raise InvalidInputError("correlation needs at least 2 points")
     xc = x - x.mean()
     yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
+    sxx = float(np.add.reduce(xc * xc))
+    syy = float(np.add.reduce(yc * yc))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("correlation is undefined for a constant sequence")
-    value = float(np.dot(xc, yc)) / float(np.sqrt(sxx * syy))
+    value = float(np.add.reduce(xc * yc)) / float(np.sqrt(sxx * syy))
     return max(-1.0, min(1.0, value))
 
 

@@ -398,9 +398,11 @@ class DatasetManifest:
 
 
 def _typed(value, kind: type, what: str):
-    """value, if it has the JSON type kind (list, str, bool or int); else a ManifestError."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        name = {list: "list", str: "string", bool: "boolean", int: "integer"}[kind]
+    """value, if it has the JSON type kind (list, str, bool, int, or float for
+    any number); else a ManifestError."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        name = {list: "list", str: "string", bool: "boolean", int: "integer", float: "number"}[kind]
         raise ManifestError(f"{what} must be a JSON {name}, got {value!r}")
     return value
 

@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line subcommands; `__main__.main` is the process entry point.
 
 Subcommands: validate, score, rank, oracle, suite, analyze, plan. Every run
 prints its effective configuration as '# key = value' lines before any
@@ -322,7 +322,3 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> None:
-    sys.exit(run(sys.argv[1:]))

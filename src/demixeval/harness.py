@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing
 import re
 from dataclasses import dataclass
@@ -21,10 +22,11 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, read_wav_header
+from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, _typed, read_wav_header
 from .errors import (
     EvaluationError,
     InvalidInputError,
+    ManifestError,
     MissingEstimateError,
     MissingSubmissionError,
 )
@@ -395,45 +397,72 @@ def scores_to_document(
     }
 
 
+def _finite(value, what: str) -> float:
+    """value as a float, if it is a finite JSON number."""
+    value = float(_typed(value, float, what))
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{what} must be finite, got {value}")
+    return value
+
+
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
     The result has keys system_id, leaderboard, rounds, seed, epsilon,
-    scores. A file that is not a score document raises InvalidInputError.
+    scores. A file that is not a score document raises InvalidInputError:
+    so do rounds that are not a non-empty list drawn from 1, 2 and 3, a seed
+    that is not a JSON integer >= 0, a repeated song_id, a score or epsilon
+    that is not a finite JSON number, an excluded_song that is not a JSON
+    boolean, and an id or reason that is not a JSON string.
     """
     try:
         doc = json.loads(Path(path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
     try:
+        rounds = _typed(doc.get("rounds", [1, 2, 3]), list, "rounds")
+        if not rounds or any(_typed(r, int, "a round") not in (1, 2, 3) for r in rounds):
+            raise InvalidInputError(f"rounds must be a non-empty list drawn from 1, 2, 3, got {rounds}")
+        seed = _typed(doc["seed"], int, "seed")
+        if seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {seed}")
         scores = []
-        for record in doc["scores"]:
-            values = {StemKind(name): value for name, value in record["per_stem"].items()}
+        seen = set()
+        for index, record in enumerate(_typed(doc["scores"], list, "scores")):
+            song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
+            if song_id in seen:
+                raise InvalidInputError(f"repeated song_id {song_id!r}")
+            seen.add(song_id)
+            song = f"song {song_id}"
+            values = {
+                StemKind(name): _finite(value, f"{song}: {name}")
+                for name, value in record["per_stem"].items()
+            }
             excluded = {
-                StemKind(name): reason
+                StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
                 for name, reason in record.get("excluded_stems", {}).items()
             }
             scores.append(
                 SongScore(
-                    song_id=record["song_id"],
+                    song_id=song_id,
                     per_stem=StemScores(values),
-                    sdr_song=float(record["sdr_song"]),
+                    sdr_song=_finite(record["sdr_song"], f"{song}: sdr_song"),
                     excluded_stems=excluded,
-                    excluded_song=bool(record.get("excluded_song", False)),
-                    exclusion_reason=record.get("exclusion_reason", ""),
+                    excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
+                    exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
                 )
             )
         return {
-            "system_id": doc["system_id"],
+            "system_id": _typed(doc["system_id"], str, "system_id"),
             "leaderboard": Leaderboard(doc["leaderboard"]),
-            "rounds": frozenset(doc.get("rounds", (1, 2, 3))),
-            "seed": int(doc["seed"]),
-            "epsilon": float(doc["epsilon"]),
+            "rounds": frozenset(rounds),
+            "seed": seed,
+            "epsilon": _finite(doc["epsilon"], "epsilon"),
             "scores": scores,
         }
     except KeyError as exc:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed score document ({exc})") from None
 
 

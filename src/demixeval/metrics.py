@@ -27,8 +27,9 @@ row sets:
 Global sums are numpy's sum within a block, the block sums added
 channel-major, left to right. The SDR energies agree with an exactly
 rounded math.fsum to 1e-12 relative, and depend only on the sample values,
-never on the memory layout, the thread count or whether they come from a
-file, so scores are bit-identical across runs and --jobs, and the suite's
+never on the memory layout or whether they come from a file. The package
+makes no BLAS call, so no value depends on the thread count either. Scores
+are bit-identical across runs and --jobs, and the suite's
 global_sdr and bsseval_v3_sdr are the SDR's bit for bit. Frames add the
 pieces block edges cut them into, in order. MAE and MSE agree with their
 formulas over exactly rounded sums to 1e-12 relative, the other dB metrics
@@ -166,8 +167,8 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
     contiguous row) pairs, computed one at a time into a reused buffer. A
     sum array is (depth, channels, frames // unit + 1), its last column
     taking the frames past the last whole unit; a unit cut by a block edge
-    adds its pieces in order. No BLAS call, whose threaded reduction order
-    could vary between runs.
+    adds its pieces in order. No BLAS call, whose reduction order would
+    depend on the thread count.
     """
     sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
     start = 0

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,16 @@ def covariance_formula_oracle(x, y):
     return cov / (sd_x * sd_y)
 
 
+def fsum_pearson(x, y):
+    """Pearson correlation from exactly rounded (math.fsum) means and sums."""
+    mean_x = math.fsum(x) / len(x)
+    mean_y = math.fsum(y) / len(y)
+    xc = [a - mean_x for a in x]
+    yc = [b - mean_y for b in y]
+    sxy = math.fsum(a * b for a, b in zip(xc, yc))
+    return sxy / math.sqrt(math.fsum(a * a for a in xc) * math.fsum(b * b for b in yc))
+
+
 def average_rank_oracle(values):
     """Brute-force fractional ranks with tie averaging."""
     values = list(values)
@@ -58,6 +73,27 @@ class TestPearson:
             x = rng.standard_normal(40)
             y = 0.5 * x + rng.standard_normal(40)
             assert pearson(x, y) == pytest.approx(covariance_formula_oracle(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 3, 40, 1000, 20_000])
+    def test_matches_fsum_reference(self, rng, rows):
+        x = 1e3 + rng.standard_normal(rows)
+        y = 0.5 * x + rng.standard_normal(rows)
+        assert pearson(x, y) == pytest.approx(fsum_pearson(x, y), abs=1e-12)
+
+    def test_bits_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot product above 10 000 rows across its threads
+        code = (
+            "import numpy as np; from demixeval.analysis import pearson; "
+            "gen = np.random.default_rng(5); x = gen.standard_normal(20_000); "
+            "print(pearson(x, 0.3 * x + gen.standard_normal(20_000)).hex())"
+        )
+        printed = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            printed.add(result.stdout)
+        assert len(printed) == 1
 
     def test_constant_sequence_undefined(self):
         with pytest.raises(UndefinedCorrelationError):

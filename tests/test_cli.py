@@ -434,7 +434,7 @@ def test_negative_seed_rejected(dataset, baseline_submission, capsys, command):
 
 
 def _set(*keys, value):
-    """An edit of a manifest document that sets doc[keys[0]][keys[1]]... to value."""
+    """An edit of a JSON document that sets doc[keys[0]][keys[1]]... to value."""
     def edit(doc):
         for key in keys[:-1]:
             doc = doc[key]
@@ -482,6 +482,50 @@ def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, ed
             path.write_text(json.dumps(doc))
         args = ["plan", "--manifest", str(path), "--seed", "0"]
     assert run(args) == 1
+    _assert_one_error_line(capsys, message)
+
+
+@pytest.fixture(scope="module")
+def score_document(dataset, baseline_submission, tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("cli_scores") / "baseline"
+    args = [
+        "score",
+        "--manifest", str(dataset),
+        "--estimates", str(baseline_submission),
+        "--system", "baseline",
+        "--leaderboard", "B",
+        "--training-data", "none",
+        "--jobs", "1",
+        "--out", str(prefix),
+    ]
+    assert run(args) == 0
+    return json.loads(prefix.with_suffix(".json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("rounds", value="12"), "rounds must be a JSON list, got '12'"),
+        (_set("rounds", value=[1, 2, 3, 7]), "rounds must be a non-empty list drawn from 1, 2, 3"),
+        (lambda doc: doc["scores"].append(doc["scores"][0]), "repeated song_id 'syn_000'"),
+        (_set("scores", 0, "sdr_song", value="1e9"), "sdr_song must be a JSON number, got '1e9'"),
+        (_set("scores", 0, "sdr_song", value=float("nan")), "sdr_song must be finite, got nan"),
+        (_set("scores", 0, "per_stem", "bass", value="inf"), "bass must be a JSON number, got 'inf'"),
+        (_set("scores", 0, "per_stem", "bass", value=float("inf")), "bass must be finite, got inf"),
+        (_set("seed", value=0.7), "seed must be a JSON integer, got 0.7"),
+        (_set("scores", 0, "excluded_song", value="false"), "excluded_song must be a JSON boolean, got 'false'"),
+        (_set("system_id", value=["baseline"]), "system_id must be a JSON string, got ['baseline']"),
+    ],
+    ids=["rounds-str", "rounds-7", "repeated-song", "sdr-str", "sdr-nan", "stem-str", "stem-inf",
+         "seed-fraction", "excluded-str", "system-id-list"],
+)
+def test_rank_rejects_mistyped_score_document(score_document, tmp_path, capsys, edit, message):
+    doc = json.loads(json.dumps(score_document))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rank", "--scores", str(path)]) == 1
     _assert_one_error_line(capsys, message)
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -470,6 +472,54 @@ class TestSerialization:
         assert load_score_document(self._document(tmp_path))["seed"] == 7
         with pytest.raises(InvalidInputError):
             load_score_document(self._document(tmp_path, seed="seven"))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(rounds="12"), "rounds must be a JSON list, got '12'"),
+            (lambda doc: doc.update(rounds=[]), "rounds must be a non-empty list drawn from 1, 2, 3, got []"),
+            (lambda doc: doc.update(rounds=[1, 2, 3, 7]), "drawn from 1, 2, 3, got [1, 2, 3, 7]"),
+            (lambda doc: doc.update(rounds=[1, "2"]), "a round must be a JSON integer, got '2'"),
+            (lambda doc: doc.update(rounds=[True]), "a round must be a JSON integer, got True"),
+            (lambda doc: doc.update(seed=0.7), "seed must be a JSON integer, got 0.7"),
+            (lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
+            (lambda doc: doc.update(seed=False), "seed must be a JSON integer, got False"),
+            (lambda doc: doc.update(epsilon="1e-5"), "epsilon must be a JSON number, got '1e-5'"),
+            (lambda doc: doc["scores"].append(dict(doc["scores"][0])), "repeated song_id 'a'"),
+            (lambda doc: doc["scores"][0].update(sdr_song="1e9"), "song a: sdr_song must be a JSON number, got '1e9'"),
+            (lambda doc: doc["scores"][0].update(sdr_song=True), "song a: sdr_song must be a JSON number, got True"),
+            (lambda doc: doc["scores"][0].update(sdr_song=math.nan), "song a: sdr_song must be finite, got nan"),
+            (lambda doc: doc["scores"][0].update(sdr_song=-math.inf), "song a: sdr_song must be finite, got -inf"),
+            (lambda doc: doc["scores"][0].update(sdr_song=10**400), "int too large to convert to float"),
+            (lambda doc: doc["scores"][0]["per_stem"].update(bass="inf"), "song a: bass must be a JSON number, got 'inf'"),
+            (lambda doc: doc["scores"][0]["per_stem"].update(vocals=math.inf), "song a: vocals must be finite, got inf"),
+            (lambda doc: doc["scores"][0].update(excluded_song="false"),
+             "song a: excluded_song must be a JSON boolean, got 'false'"),
+            (lambda doc: doc["scores"][0].update(excluded_song=0), "excluded_song must be a JSON boolean, got 0"),
+            (lambda doc: doc.update(system_id=["sys"]), "system_id must be a JSON string, got ['sys']"),
+            (lambda doc: doc["scores"][0].update(song_id=7), "song record 0: song_id must be a JSON string, got 7"),
+            (lambda doc: doc["scores"][0].update(exclusion_reason=[]), "exclusion_reason must be a JSON string, got []"),
+            (lambda doc: doc["scores"][0].update(excluded_stems={"bass": 5}),
+             "song a: exclusion reason of bass must be a JSON string, got 5"),
+        ],
+        ids=["rounds-str", "rounds-empty", "rounds-7", "round-str", "round-bool", "seed-fraction",
+             "seed-negative", "seed-bool", "epsilon-str", "repeated-song", "sdr-str", "sdr-bool",
+             "sdr-nan", "sdr-minus-inf", "sdr-huge-int", "stem-str", "stem-inf", "excluded-str", "excluded-int",
+             "system-id-list", "song-id-int", "reason-list", "stem-reason-int"],
+    )
+    def test_document_field_types_checked(self, tmp_path, edit, message):
+        doc = json.loads(self._document(tmp_path).read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_score_document(path)
+
+    def test_document_accepts_integer_scores(self, tmp_path):
+        path = self._document(tmp_path, rounds=[3, 1, 3])
+        loaded = load_score_document(path)
+        assert loaded["rounds"] == frozenset({1, 3})
+        assert loaded["scores"] == [_song_score("a", 1, 2, 3, 4)]
 
     def test_leaderboard_csv_three_decimals(self):
         entry = LeaderboardEntry(
