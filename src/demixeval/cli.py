@@ -97,39 +97,13 @@ def cmd_score(args) -> int:
 
 def cmd_rank(args) -> int:
     documents = [harness.load_score_document(path) for path in args.scores]
-    boards = {doc["leaderboard"] for doc in documents}
-    if args.leaderboard is not None:
-        board = Leaderboard(args.leaderboard)
-        if boards != {board}:
-            raise InvalidInputError(
-                f"score files declare leaderboard(s) {sorted(b.value for b in boards)}, "
-                f"but {board.value} was requested"
-            )
-    elif len(boards) != 1:
-        raise InvalidInputError(
-            f"score files mix leaderboards {sorted(b.value for b in boards)}; "
-            "pass --leaderboard to disambiguate or rank them separately"
-        )
-    else:
-        board = next(iter(boards))
-    for field in ("epsilon", "seed"):
-        values = sorted({doc[field] for doc in documents})
-        if len(values) > 1:
-            # a different stabilizer or round plan makes the scores incomparable
-            raise InvalidInputError(f"score files disagree on {field}: {values}")
-    results = {}
-    rounds = set()
-    for doc in documents:
-        if doc["system_id"] in results:
-            raise InvalidInputError(f"duplicate system_id {doc['system_id']!r}")
-        results[doc["system_id"]] = doc["scores"]
-        rounds |= set(doc["rounds"])
-    entries = harness.rank(results, board, rounds=frozenset(rounds))
+    entries = harness.rank(documents, args.leaderboard)
+    rounds = set().union(*(doc["rounds"] for doc in documents))
     _print_config(
         "rank",
         [
             ("scores", ",".join(str(p) for p in args.scores)),
-            ("leaderboard", board.value),
+            ("leaderboard", documents[0]["leaderboard"].value),  # rank checked they agree
             ("rounds", ",".join(str(r) for r in sorted(rounds))),
             ("out", args.out if args.out else ""),
         ],

@@ -4,7 +4,9 @@ A submission is a directory tree mirroring the manifest,
 estimates_root/<song_id>/{bass,drums,other,vocals}.wav. Songs flagged
 is_demo never enter rounds or leaderboards. A stem listed in a song's
 silent_stems is still scored but excluded from the per-song mean, so a
-silent bass yields the mean over the other three stems.
+silent bass yields the mean over the other three stems. That mean is
+always derived from the per-stem scores, never stored on its own. rank
+decides which score documents may be ranked together.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class SongScore:
 
     song_id: str
     per_stem: StemScores
-    sdr_song: float
     excluded_stems: Mapping[StemKind, str]
     excluded_song: bool = False
     exclusion_reason: str = ""
@@ -82,13 +83,18 @@ class SongScore:
     def __post_init__(self) -> None:
         object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
 
+    @property
+    def sdr_song(self) -> float:
+        """The mean of per_stem over the stems not in excluded_stems."""
+        values = self.per_stem.values
+        return sdr_song(StemScores({k: v for k, v in values.items() if k not in self.excluded_stems}))
+
 
 @dataclass(frozen=True)
 class RoundPlan:
     """Partition of the non-demo songs into rounds 1..3."""
 
     round_assignment: Mapping[str, int]
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "round_assignment", dict(self.round_assignment))
@@ -100,11 +106,9 @@ class LeaderboardEntry:
     system_id: str
     sdr_song_mean: float
     per_stem_means: Mapping[StemKind, float]
-    rounds_included: frozenset
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_stem_means", dict(self.per_stem_means))
-        object.__setattr__(self, "rounds_included", frozenset(self.rounds_included))
 
 
 def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
@@ -122,7 +126,7 @@ def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
     order = np.random.default_rng(seed).permutation(len(eligible))
     by_position = {eligible[int(idx)]: position % 3 + 1 for position, idx in enumerate(order)}
     assignment = {song_id: by_position[song_id] for song_id in eligible}
-    return RoundPlan(assignment, int(seed))
+    return RoundPlan(assignment)
 
 
 def score_song(
@@ -130,7 +134,7 @@ def score_song(
     estimates: Mapping[StemKind, Union[Waveform, str, Path]],
     cfg: MetricConfig = MetricConfig(),
 ) -> SongScore:
-    """Score one song: global SDR per stem, then the exclusion-aware mean.
+    """Score one song: global SDR per stem; the SongScore derives the mean.
 
     Each estimate is a Waveform or the path of a WAVE file. The references
     are read from entry.stem_paths. Files are decoded one block at a time,
@@ -158,14 +162,10 @@ def score_song(
             values[kind] = streamed_sdr(reference, sources[kind], cfg)
         except InvalidInputError as exc:
             raise InvalidInputError(f"song {entry.song_id}, stem {kind}: {exc}") from None
-    excluded = {kind: "silent reference" for kind in StemKind if kind in entry.silent_stems}
-    kept = {kind: values[kind] for kind in StemKind if kind not in excluded}
-    mean = sdr_song(StemScores(kept))
     return SongScore(
         song_id=entry.song_id,
         per_stem=StemScores(values),
-        sdr_song=mean,
-        excluded_stems=excluded,
+        excluded_stems={kind: "silent reference" for kind in StemKind if kind in entry.silent_stems},
         excluded_song=entry.is_demo,
         exclusion_reason="demo song" if entry.is_demo else "",
     )
@@ -186,9 +186,8 @@ def fan_out(func, tasks, jobs: int) -> list:
 
 
 def _score_task(task):
-    entry, root, cfg = task
+    entry, estimates, cfg = task
     try:
-        estimates = {kind: root / entry.song_id / f"{kind.value}.wav" for kind in StemKind}
         return entry.song_id, score_song(entry, estimates, cfg), None
     except Exception as exc:  # collected and re-raised with full context
         return entry.song_id, None, f"{type(exc).__name__}: {exc}"
@@ -221,19 +220,17 @@ def evaluate_submission(
         if assigned in rounds:
             selected.append(song)
 
-    gaps = []
-    for song in selected:
-        for kind in StemKind:
-            path = submission.estimates_root / song.song_id / f"{kind.value}.wav"
-            if not path.is_file():
-                gaps.append(str(path))
+    root = submission.estimates_root
+    tasks = [
+        (song, {kind: root / song.song_id / f"{kind.value}.wav" for kind in StemKind}, cfg)
+        for song in selected
+    ]
+    gaps = [str(path) for _, estimates, _ in tasks for path in estimates.values() if not path.is_file()]
     if gaps:
         raise MissingSubmissionError(
             f"submission {submission.system_id} is missing {len(gaps)} estimate file(s):\n"
             + "\n".join(gaps)
         )
-
-    tasks = [(song, submission.estimates_root, cfg) for song in selected]
     outcomes = fan_out(_score_task, tasks, jobs)
     failures = [(song_id, error) for song_id, _, error in outcomes if error is not None]
     if failures:
@@ -244,22 +241,40 @@ def evaluate_submission(
     return [score for _, score, _ in outcomes]
 
 
-def rank(
-    results: Mapping[str, Sequence[SongScore]],
-    leaderboard: Leaderboard,
-    rounds=frozenset({1, 2, 3}),
-) -> list:
-    """Rank systems by mean per-song SDR over a common song set.
+def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
+    """Rank the systems of score documents by mean per-song SDR.
 
-    Ties break on the Vocals, Drums, Bass, then Other stem means, then on
-    system_id. Ranks are consecutive from 1. Demo-song records are ignored.
+    documents are load_score_document results. They may be ranked together
+    only if they declare one leaderboard (leaderboard, when given), agree on
+    epsilon and seed, name distinct systems, and cover the same non-empty
+    set of non-demo songs; otherwise InvalidInputError, checked in that
+    order. Ties break on the Vocals, Drums, Bass, then Other stem means,
+    then on system_id. Ranks are consecutive from 1.
     """
-    if not results:
+    if not documents:
         raise InvalidInputError("no systems to rank")
-    usable = {
-        system_id: [score for score in scores if not score.excluded_song]
-        for system_id, scores in results.items()
-    }
+    boards = sorted({doc["leaderboard"].value for doc in documents})
+    if leaderboard is not None:
+        wanted = Leaderboard(leaderboard).value
+        if boards != [wanted]:
+            raise InvalidInputError(
+                f"score files declare leaderboard(s) {boards}, but {wanted} was requested"
+            )
+    elif len(boards) != 1:
+        raise InvalidInputError(
+            f"score files mix leaderboards {boards}; "
+            "pass --leaderboard to disambiguate or rank them separately"
+        )
+    for field in ("epsilon", "seed"):
+        values = sorted({doc[field] for doc in documents})
+        if len(values) > 1:
+            # a different stabilizer or round plan makes the scores incomparable
+            raise InvalidInputError(f"score files disagree on {field}: {values}")
+    usable = {}
+    for doc in documents:
+        if doc["system_id"] in usable:
+            raise InvalidInputError(f"duplicate system_id {doc['system_id']!r}")
+        usable[doc["system_id"]] = [score for score in doc["scores"] if not score.excluded_song]
     song_sets = {system_id: frozenset(s.song_id for s in scores) for system_id, scores in usable.items()}
     reference_set = next(iter(song_sets.values()))
     mismatched = sorted(sid for sid, songs in song_sets.items() if songs != reference_set)
@@ -271,8 +286,7 @@ def rank(
         raise InvalidInputError("no scorable songs (every record is excluded)")
 
     rows = []
-    for system_id in results:
-        scores = usable[system_id]
+    for system_id, scores in usable.items():
         mean = sum(score.sdr_song for score in scores) / len(scores)
         per_stem = {}
         for kind in StemKind:
@@ -303,7 +317,6 @@ def rank(
             system_id=system_id,
             sdr_song_mean=mean,
             per_stem_means=per_stem,
-            rounds_included=frozenset(rounds),
         )
         for index, (system_id, mean, per_stem) in enumerate(rows)
     ]
@@ -413,7 +426,9 @@ def load_score_document(path) -> dict:
     so do rounds that are not a non-empty list drawn from 1, 2 and 3, a seed
     that is not a JSON integer >= 0, a repeated song_id, a score or epsilon
     that is not a finite JSON number, an excluded_song that is not a JSON
-    boolean, and an id or reason that is not a JSON string.
+    boolean, and an id or reason that is not a JSON string. So does a song
+    record without a value for every stem, with every stem excluded, or
+    whose sdr_song is not the mean of its kept stems, bit for bit.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -427,6 +442,7 @@ def load_score_document(path) -> dict:
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
         scores = []
+        stored = []
         seen = set()
         for index, record in enumerate(_typed(doc["scores"], list, "scores")):
             song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
@@ -442,17 +458,17 @@ def load_score_document(path) -> dict:
                 StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
                 for name, reason in record.get("excluded_stems", {}).items()
             }
+            stored.append(_finite(record["sdr_song"], f"{song}: sdr_song"))
             scores.append(
                 SongScore(
                     song_id=song_id,
                     per_stem=StemScores(values),
-                    sdr_song=_finite(record["sdr_song"], f"{song}: sdr_song"),
                     excluded_stems=excluded,
                     excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
                     exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
                 )
             )
-        return {
+        document = {
             "system_id": _typed(doc["system_id"], str, "system_id"),
             "leaderboard": Leaderboard(doc["leaderboard"]),
             "rounds": frozenset(rounds),
@@ -464,6 +480,17 @@ def load_score_document(path) -> dict:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None
     except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed score document ({exc})") from None
+    # after every type check, so a mistyped document is refused for its type first
+    for score, mean in zip(scores, stored):
+        song = f"{path}: song {score.song_id}"
+        missing = [kind.value for kind in StemKind if kind not in score.per_stem.values]
+        if missing:
+            raise InvalidInputError(f"{song}: no value for {', '.join(missing)}")
+        if len(score.excluded_stems) == len(StemKind):
+            raise InvalidInputError(f"{song}: every stem is excluded")
+        if mean != score.sdr_song:
+            raise InvalidInputError(f"{song}: sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
+    return document
 
 
 def leaderboard_to_csv(entries: Sequence[LeaderboardEntry]) -> str:

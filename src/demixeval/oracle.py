@@ -24,7 +24,6 @@ panned source dominates) and within 1e-12 * max|mixture| at regularization
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -75,26 +74,16 @@ class Spectrogram:
     signal_length: int
 
     def __post_init__(self) -> None:
-        bins = self._shaped(self.bins)
-        if not np.all(np.isfinite(bins)):
-            raise InvalidInputError("spectrogram values must be finite")
-        object.__setattr__(self, "bins", bins)
-
-    def _shaped(self, bins: np.ndarray) -> np.ndarray:
-        bins = np.asarray(bins, dtype=np.complex128)
+        bins = np.asarray(self.bins, dtype=np.complex128)
         if bins.ndim != 3:
             raise InvalidInputError("bins must be 3-D (channels, freq_bins, frames)")
         if bins.shape[1] != self.fft_size // 2 + 1:
             raise InvalidInputError(
                 f"freq_bins {bins.shape[1]} inconsistent with fft_size {self.fft_size}"
             )
-        return bins
-
-    def with_bins(self, bins: np.ndarray) -> "Spectrogram":
-        """Same geometry, new bin values; finiteness is left to istft's Waveform."""
-        spectrogram = copy.copy(self)
-        object.__setattr__(spectrogram, "bins", self._shaped(bins))
-        return spectrogram
+        if not np.all(np.isfinite(bins)):
+            raise InvalidInputError("spectrogram values must be finite")
+        object.__setattr__(self, "bins", bins)
 
 
 def _hann_periodic(length: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from demixeval.audio_io import Waveform
+from demixeval.harness import Leaderboard
 
 
 def noise_waveform(rng, channels=2, frames=4000, rate=8000, scale=0.1):
@@ -167,6 +168,22 @@ def average_ranks_loop(values):
         ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
         start = stop + 1
     return ranks
+
+
+def score_documents(results, leaderboard=Leaderboard.B, epsilon=1e-7, seed=0):
+    """{system_id: [SongScore, ...]} as score documents, one per system, in the
+    form load_score_document returns: the input of harness.rank."""
+    return [
+        {
+            "system_id": system_id,
+            "leaderboard": leaderboard,
+            "rounds": frozenset({1, 2, 3}),
+            "seed": seed,
+            "epsilon": epsilon,
+            "scores": list(scores),
+        }
+        for system_id, scores in results.items()
+    ]
 
 
 def energy(waveform):

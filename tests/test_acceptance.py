@@ -35,6 +35,8 @@ from demixeval.metrics import (
 from demixeval.oracle import OracleConfig, ideal_mwf, ideal_swf, istft, mixture_baseline, stft
 from demixeval.synth import make_dataset, make_song
 
+from helpers import score_documents
+
 EPS = 1e-7
 
 
@@ -70,10 +72,8 @@ def test_criterion_01_aggregation_reproduction():
                 StemKind.VOCALS: vocals,
             }
         )
-        results[name] = [
-            SongScore("all", scores, sdr_song(scores), {}, False, "")
-        ]
-    entries = rank(results, Leaderboard.A)
+        results[name] = [SongScore("all", scores, {}, False, "")]
+    entries = rank(score_documents(results, Leaderboard.A))
     assert [e.system_id for e in entries] == [
         "defossez",
         "kuielab",

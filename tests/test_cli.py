@@ -529,6 +529,38 @@ def test_rank_rejects_mistyped_score_document(score_document, tmp_path, capsys, 
     _assert_one_error_line(capsys, message)
 
 
+def _drop_vocals_and_exclude_it(doc):
+    del doc["scores"][0]["per_stem"]["vocals"]
+    doc["scores"][0]["excluded_stems"] = {"vocals": "silent reference"}
+
+
+def _shift_sdr_song(doc):
+    doc["scores"][0]["sdr_song"] += 1.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("scores", value=[{"song_id": "a", "per_stem": {"bass": 1.0}, "sdr_song": 1.0}]),
+         "song a: no value for drums, other, vocals"),
+        (_drop_vocals_and_exclude_it, "song syn_000: no value for vocals"),
+        (_set("scores", 0, "excluded_stems", value={k.value: "silent reference" for k in StemKind}),
+         "song syn_000: every stem is excluded"),
+        (_shift_sdr_song, "song syn_000: sdr_song"),
+        (_set("scores", 0, "excluded_stems", value={"bass": "silent reference"}), "song syn_000: sdr_song"),
+    ],
+    ids=["only-bass", "excluded-without-value", "all-excluded", "sdr-not-mean", "sdr-four-stem-mean"],
+)
+def test_rank_rejects_inconsistent_song_record(score_document, tmp_path, capsys, edit, message):
+    doc = json.loads(json.dumps(score_document))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: {message}")
+
+
 @pytest.mark.parametrize("flag, values", [("--epsilon", ("1e-7", "1e-5")), ("--seed", ("4", "5"))])
 def test_rank_refuses_documents_scored_differently(
     dataset, baseline_submission, tmp_path, capsys, flag, values

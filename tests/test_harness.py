@@ -17,7 +17,6 @@ from demixeval import harness
 from demixeval.harness import (
     Leaderboard,
     LeaderboardEntry,
-    RoundPlan,
     SongScore,
     SubmissionDescriptor,
     evaluate_submission,
@@ -32,6 +31,8 @@ from demixeval.harness import (
 )
 from demixeval.metrics import MetricConfig, StemScores, global_sdr, sdr_song
 from demixeval.synth import make_dataset, make_song
+
+from helpers import score_documents
 
 
 @pytest.fixture(scope="module")
@@ -303,13 +304,10 @@ def _song_score(song_id, bass, drums, other, vocals, excluded=(), demo=False):
         StemKind.OTHER: other,
         StemKind.VOCALS: vocals,
     }
-    excluded_map = {k: "silent reference" for k in excluded}
-    kept = {k: v for k, v in values.items() if k not in excluded_map}
     return SongScore(
         song_id=song_id,
         per_stem=StemScores(values),
-        sdr_song=sum(kept.values()) / len(kept),
-        excluded_stems=excluded_map,
+        excluded_stems={k: "silent reference" for k in excluded},
         excluded_song=demo,
         exclusion_reason="demo song" if demo else "",
     )
@@ -330,7 +328,7 @@ class TestRank:
             name: [_song_score("s", bass, drums, other, vocals)]
             for name, bass, drums, other, vocals in FINAL_STANDINGS
         }
-        entries = rank(results, Leaderboard.A)
+        entries = rank(score_documents(results, Leaderboard.A))
         assert [e.system_id for e in entries] == [
             "defossez", "kuielab", "Music_AI", "Kazane_Ryo_no_Danna", "ByteMSS",
         ]
@@ -340,20 +338,20 @@ class TestRank:
         assert means[0] == pytest.approx(7.328, abs=0.0005)
 
     def test_single_system(self):
-        entries = rank({"only": [_song_score("s", 1, 2, 3, 4)]}, Leaderboard.B)
+        entries = rank(score_documents({"only": [_song_score("s", 1, 2, 3, 4)]}))
         assert len(entries) == 1
         assert entries[0].rank == 1
 
     def test_tie_broken_by_system_id(self):
         score = _song_score("s", 5, 5, 5, 5)
-        entries = rank({"zeta": [score], "alpha": [score]}, Leaderboard.B)
+        entries = rank(score_documents({"zeta": [score], "alpha": [score]}))
         assert [e.system_id for e in entries] == ["alpha", "zeta"]
         assert [e.rank for e in entries] == [1, 2]
 
     def test_tie_broken_by_vocals_before_id(self):
         strong_vocals = _song_score("s", 4.0, 5.0, 6.0, 9.0)   # mean 6
         strong_bass = _song_score("s", 9.0, 5.0, 6.0, 4.0)     # mean 6
-        entries = rank({"a_weak": [strong_bass], "z_strong": [strong_vocals]}, Leaderboard.B)
+        entries = rank(score_documents({"a_weak": [strong_bass], "z_strong": [strong_vocals]}))
         assert [e.system_id for e in entries] == ["z_strong", "a_weak"]
 
     def test_inconsistent_song_sets_rejected(self):
@@ -361,14 +359,14 @@ class TestRank:
             "one": [_song_score("s1", 1, 1, 1, 1)],
             "two": [_song_score("s2", 1, 1, 1, 1)],
         }
-        with pytest.raises(InvalidInputError):
-            rank(results, Leaderboard.A)
+        with pytest.raises(InvalidInputError, match="differing: two"):
+            rank(score_documents(results, Leaderboard.A))
 
     def test_mean_matches_oracle(self, rng):
         scores = [
             _song_score(f"s{i}", *rng.uniform(-5, 15, size=4)) for i in range(9)
         ]
-        entries = rank({"sys": scores}, Leaderboard.B)
+        entries = rank(score_documents({"sys": scores}))
         assert entries[0].sdr_song_mean == pytest.approx(
             np.mean([s.sdr_song for s in scores]), abs=1e-12
         )
@@ -376,14 +374,14 @@ class TestRank:
     def test_demo_songs_do_not_influence(self, rng):
         scores = [_song_score(f"s{i}", *rng.uniform(0, 10, size=4)) for i in range(4)]
         with_demo = scores + [_song_score("demo", 99, 99, 99, 99, demo=True)]
-        plain = rank({"sys": scores}, Leaderboard.B)
-        spiked = rank({"sys": with_demo}, Leaderboard.B)
+        plain = rank(score_documents({"sys": scores}))
+        spiked = rank(score_documents({"sys": with_demo}))
         assert plain[0].sdr_song_mean == spiked[0].sdr_song_mean
         assert plain[0].per_stem_means == spiked[0].per_stem_means
 
     def test_improving_one_stem_never_lowers_mean(self, rng):
         scores = [_song_score(f"s{i}", *rng.uniform(0, 10, size=4)) for i in range(5)]
-        base_mean = rank({"sys": scores}, Leaderboard.B)[0].sdr_song_mean
+        base_mean = rank(score_documents({"sys": scores}))[0].sdr_song_mean
         bumped = list(scores)
         target = scores[2]
         values = dict(target.per_stem.values)
@@ -395,20 +393,72 @@ class TestRank:
             values[StemKind.OTHER],
             values[StemKind.VOCALS],
         )
-        assert rank({"sys": bumped}, Leaderboard.B)[0].sdr_song_mean >= base_mean
+        assert rank(score_documents({"sys": bumped}))[0].sdr_song_mean >= base_mean
 
     def test_empty_results_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rank({}, Leaderboard.A)
+        with pytest.raises(InvalidInputError, match="no systems to rank"):
+            rank([])
 
     def test_input_order_does_not_matter(self, rng):
         scores = {
             name: [_song_score("s", *rng.uniform(0, 10, size=4))]
             for name in ("alpha", "beta", "gamma")
         }
-        forward = rank(dict(scores), Leaderboard.B)
-        reversed_input = rank(dict(reversed(list(scores.items()))), Leaderboard.B)
+        forward = rank(score_documents(dict(scores)))
+        reversed_input = rank(score_documents(dict(reversed(list(scores.items())))))
         assert forward == reversed_input
+
+    def test_mixed_leaderboards_rejected(self):
+        documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)], "b": [_song_score("s", 4, 3, 2, 1)]})
+        documents[0]["leaderboard"] = Leaderboard.A
+        message = "score files mix leaderboards ['A', 'B']; pass --leaderboard to disambiguate"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            rank(documents)
+        with pytest.raises(InvalidInputError, match=re.escape("declare leaderboard(s) ['A', 'B'], but A was requested")):
+            rank(documents, Leaderboard.A)
+
+    def test_requested_leaderboard_must_match(self):
+        documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)]})
+        with pytest.raises(InvalidInputError, match=re.escape("declare leaderboard(s) ['B'], but A was requested")):
+            rank(documents, "A")
+        assert rank(documents, "B") == rank(documents, Leaderboard.B) == rank(documents)
+
+    @pytest.mark.parametrize("field, values", [("epsilon", (1e-7, 1e-5)), ("seed", (4, 3))])
+    def test_epsilon_or_seed_disagreement_rejected(self, field, values):
+        documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)], "b": [_song_score("s", 4, 3, 2, 1)]})
+        for document, value in zip(documents, values):
+            document[field] = value
+        with pytest.raises(InvalidInputError, match=re.escape(f"score files disagree on {field}: {sorted(values)}")):
+            rank(documents)
+
+    def test_duplicate_system_id_rejected(self):
+        documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)]}) * 2
+        with pytest.raises(InvalidInputError, match="duplicate system_id 'a'"):
+            rank(documents)
+
+    def test_only_demo_songs_rejected(self):
+        documents = score_documents({"a": [_song_score("demo", 1, 2, 3, 4, demo=True)]})
+        with pytest.raises(InvalidInputError, match="no scorable songs"):
+            rank(documents)
+
+    def test_contract_checked_in_order(self):
+        # each document set breaks every later rule too; the first rule broken names the error
+        documents = score_documents(
+            {"a": [_song_score("s1", 1, 2, 3, 4)], "b": [_song_score("s2", 4, 3, 2, 1)]}
+        ) + score_documents({"b": [_song_score("s3", 1, 1, 1, 1)]}, epsilon=1e-5, seed=9)
+        documents[0]["leaderboard"] = Leaderboard.A
+        steps = [
+            ("score files mix leaderboards", lambda: documents[0].update(leaderboard=Leaderboard.B)),
+            ("score files disagree on epsilon", lambda: documents[2].update(epsilon=1e-7)),
+            ("score files disagree on seed", lambda: documents[2].update(seed=0)),
+            ("duplicate system_id 'b'", lambda: documents[2].update(system_id="c")),
+            ("systems were not scored on the same songs; differing: b, c", None),
+        ]
+        for message, mend in steps:
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                rank(documents)
+            if mend is not None:
+                mend()
 
 
 class TestSubmissionDescriptor:
@@ -515,6 +565,46 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             load_score_document(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"song_id": "a", "per_stem": {"bass": 1.0}, "sdr_song": 1.0}, "song a: no value for drums, other, vocals"),
+            ({"per_stem": {"bass": 1, "drums": 2, "other": 3}, "excluded_stems": {"vocals": "silent reference"}},
+             "song a: no value for vocals"),
+            ({"excluded_stems": {"piano": "silent reference"}}, "'piano' is not a valid StemKind"),
+            ({"excluded_stems": {k.value: "silent reference" for k in StemKind}}, "song a: every stem is excluded"),
+            ({"sdr_song": 2.5000000000000004}, "song a: sdr_song 2.5000000000000004 is not the mean of its kept stems, 2.5"),
+            ({"excluded_stems": {"bass": "silent reference"}}, "song a: sdr_song 2.5 is not the mean of its kept stems, 3.0"),
+        ],
+        ids=["only-bass", "excluded-without-value", "excluded-unknown", "all-excluded", "sdr-last-bit", "sdr-four-stem-mean"],
+    )
+    def test_document_song_record_checked(self, tmp_path, record, message):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(record)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(message)) as excinfo:
+            load_score_document(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_document_type_checked_before_song_mean(self, tmp_path):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(sdr_song=9.0)
+        doc["seed"] = "seven"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="seed must be a JSON integer"):
+            load_score_document(path)
+
+    def test_document_silent_stem_mean_accepted(self, tmp_path):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(excluded_stems={"bass": "silent reference"}, sdr_song=3.0)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        (score,) = load_score_document(path)["scores"]
+        assert score == _song_score("a", 1, 2, 3, 4, excluded=(StemKind.BASS,))
+        assert score.sdr_song == 3.0
+
     def test_document_accepts_integer_scores(self, tmp_path):
         path = self._document(tmp_path, rounds=[3, 1, 3])
         loaded = load_score_document(path)
@@ -532,7 +622,6 @@ class TestSerialization:
                 StemKind.OTHER: 5.193,
                 StemKind.VOCALS: 7.968,
             },
-            rounds_included=frozenset({1, 2, 3}),
         )
         text = leaderboard_to_csv([entry])
         assert text.strip().split("\n")[1] == "1,sys,7.328,8.115,8.037,5.193,7.968"
