@@ -98,13 +98,12 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     documents = [harness.load_score_document(path) for path in args.scores]
     entries = harness.rank(documents, args.leaderboard)
-    rounds = set().union(*(doc["rounds"] for doc in documents))
     _print_config(
         "rank",
         [
             ("scores", ",".join(str(p) for p in args.scores)),
             ("leaderboard", documents[0]["leaderboard"].value),  # rank checked they agree
-            ("rounds", ",".join(str(r) for r in sorted(rounds))),
+            ("rounds", ",".join(str(r) for r in sorted(documents[0]["rounds"]))),  # likewise
             ("out", args.out if args.out else ""),
         ],
     )

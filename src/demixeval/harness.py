@@ -46,6 +46,17 @@ class Leaderboard(Enum):
 _BOARD_A_DATASETS = {"musdb18", "musdb18-hq"}
 
 
+def _check_board_a_declaration(system_id: str, declaration: str) -> None:
+    """Leaderboard A's rule: the training data declaration names only MUSDB18 or MUSDB18-HQ."""
+    parts = [p.strip() for p in re.split(r"[+,]", declaration)]
+    parts = [p for p in parts if p]
+    if not parts or any(p.lower() not in _BOARD_A_DATASETS for p in parts):
+        raise InvalidInputError(
+            f"system {system_id}: leaderboard A requires a training data "
+            f"declaration naming only MUSDB18 or MUSDB18-HQ, got {declaration!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SubmissionDescriptor:
     """One system's declared track and estimate location."""
@@ -59,14 +70,7 @@ class SubmissionDescriptor:
         if not self.system_id:
             raise InvalidInputError("system_id must be non-empty")
         if self.leaderboard is Leaderboard.A:
-            parts = [p.strip() for p in re.split(r"[+,]", self.training_data_declaration)]
-            parts = [p for p in parts if p]
-            if not parts or any(p.lower() not in _BOARD_A_DATASETS for p in parts):
-                raise InvalidInputError(
-                    f"system {self.system_id}: leaderboard A requires a training data "
-                    f"declaration naming only MUSDB18 or MUSDB18-HQ, got "
-                    f"{self.training_data_declaration!r}"
-                )
+            _check_board_a_declaration(self.system_id, self.training_data_declaration)
         object.__setattr__(self, "estimates_root", Path(self.estimates_root))
 
 
@@ -246,10 +250,10 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
 
     documents are load_score_document results. They may be ranked together
     only if they declare one leaderboard (leaderboard, when given), agree on
-    epsilon and seed, name distinct systems, and cover the same non-empty
-    set of non-demo songs; otherwise InvalidInputError, checked in that
-    order. Ties break on the Vocals, Drums, Bass, then Other stem means,
-    then on system_id. Ranks are consecutive from 1.
+    epsilon and seed, name distinct systems, cover the same non-empty set of
+    non-demo songs, and agree on rounds; otherwise InvalidInputError,
+    checked in that order. Ties break on the Vocals, Drums, Bass, then Other
+    stem means, then on system_id. Ranks are consecutive from 1.
     """
     if not documents:
         raise InvalidInputError("no systems to rank")
@@ -284,6 +288,9 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
         )
     if not reference_set:
         raise InvalidInputError("no scorable songs (every record is excluded)")
+    rounds = sorted(sorted(r) for r in {doc["rounds"] for doc in documents})
+    if len(rounds) > 1:
+        raise InvalidInputError(f"score files disagree on rounds: {rounds}")
 
     rows = []
     for system_id, scores in usable.items():
@@ -426,7 +433,9 @@ def load_score_document(path) -> dict:
     so do rounds that are not a non-empty list drawn from 1, 2 and 3, a seed
     that is not a JSON integer >= 0, a repeated song_id, a score or epsilon
     that is not a finite JSON number, an excluded_song that is not a JSON
-    boolean, and an id or reason that is not a JSON string. So does a song
+    boolean, and an id or reason that is not a JSON string. So does a
+    leaderboard A document whose training_data_declaration is missing, not a
+    JSON string, or names anything but MUSDB18 or MUSDB18-HQ, and a song
     record without a value for every stem, with every stem excluded, or
     whose sdr_song is not the mean of its kept stems, bit for bit.
     """
@@ -476,6 +485,9 @@ def load_score_document(path) -> dict:
             "epsilon": _finite(doc["epsilon"], "epsilon"),
             "scores": scores,
         }
+        if document["leaderboard"] is Leaderboard.A:  # board B takes any declaration, or none
+            declaration = _typed(doc["training_data_declaration"], str, "training_data_declaration")
+            _check_board_a_declaration(document["system_id"], declaration)
     except KeyError as exc:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None
     except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:

@@ -8,7 +8,9 @@ where the per-frame norm runs across channels and eps keeps the ratio defined
 for silent inputs. The rest of the family (MAE, MSE, SI-SDR, the classic
 BSS Eval style SDR without the stabilizer, and framewise variants with mean or
 median aggregation) exists for cross-metric comparisons. All accumulation is
-in float64.
+in float64. A reference whose energy, over a frame or the whole signal, is at
+most DEFAULT_ENERGY_FLOOR (1e-12) is silent: framewise metrics skip such
+frames, and SI-SDR is undefined on it.
 
 Every metric takes Waveforms or WavHeaders, in any mix, and comes from one
 blocked reduction, _walk. It reads both signals in fixed blocks of 2**16
@@ -66,15 +68,14 @@ class MetricConfig:
     """Parameters shared by the metric family.
 
     frame_length and hop_length are in seconds and only consulted by
-    framewise evaluation. silent_frame_energy_floor is the reference energy
-    below which a frame (or a whole signal, for SI-SDR) counts as silent.
+    framewise evaluation. A frame (or a whole signal, for SI-SDR) whose
+    reference energy is at most DEFAULT_ENERGY_FLOOR counts as silent.
     """
 
     epsilon: float = DEFAULT_EPSILON
     frame_length: Optional[float] = None
     hop_length: Optional[float] = None
     aggregation: Aggregation = Aggregation.MEAN
-    silent_frame_energy_floor: float = DEFAULT_ENERGY_FLOOR
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so each check states what must hold
@@ -90,8 +91,6 @@ class MetricConfig:
             and self.hop_length > self.frame_length
         ):
             raise InvalidInputError("hop_length must not exceed frame_length")
-        if not 0 <= self.silent_frame_energy_floor < math.inf:
-            raise InvalidInputError("silent_frame_energy_floor must be finite and >= 0")
 
 
 class MetricId(Enum):
@@ -269,7 +268,7 @@ def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> floa
     if base is MetricId.GLOBAL_MSE:
         return noise / size
     if base is MetricId.GLOBAL_SI_SDR:
-        if signal <= cfg.silent_frame_energy_floor:
+        if signal <= DEFAULT_ENERGY_FLOOR:
             raise UndefinedMetricError("SI-SDR is undefined for a silent reference")
         scale = cross / signal
         target = scale * scale * signal
@@ -302,12 +301,11 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     pieces _cuts leaves at the block's edges by one scalar each, with no
     per-sample index.
     """
-    floor = cfg.silent_frame_energy_floor
     totals, sums = _reduce(reference, estimate, {grid[0] for _, grid in series})
     frame_sums = [_compose(sums[unit], k, m, count) for _, (unit, k, m, count) in series]
     unit, scales, classes, si_grid = _ENERGY_BLOCK, [], [], (1, 1, 0)
     for (base, (frame_unit, k, m, count)), frames in zip(series, frame_sums):
-        audible = frames[_SIGNAL] > floor
+        audible = frames[_SIGNAL] > DEFAULT_ENERGY_FLOOR
         if base is MetricId.GLOBAL_SI_SDR and audible.any():
             unit, step, si_grid = frame_unit, -(-k // m), (k, m, count)
             scale = np.divide(frames[_CROSS], frames[_SIGNAL], out=np.zeros(count), where=audible)
@@ -316,7 +314,7 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
                 scales.append(np.zeros(reference.num_frames // unit + 1))
                 for j in range(k):
                     scales[-1][classes[-1] * m + j] = scale[classes[-1]]
-    if global_si_sdr and totals[_SIGNAL] > floor:
+    if global_si_sdr and totals[_SIGNAL] > DEFAULT_ENERGY_FLOOR:
         scales.insert(0, np.full(reference.num_frames // unit + 1, totals[_CROSS] / totals[_SIGNAL]))
     residuals = np.zeros((len(scales), 0))
     if scales:
@@ -343,7 +341,7 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     for (base, (frame_unit, k, _, _)), frames in zip(series, frame_sums):
         kept = []
         size = reference.num_channels * frame_unit * k
-        for index in np.flatnonzero(frames[_SIGNAL] > floor):
+        for index in np.flatnonzero(frames[_SIGNAL] > DEFAULT_ENERGY_FLOOR):
             residual = frame_residuals[index] if base is MetricId.GLOBAL_SI_SDR else None
             try:
                 kept.append(_value(base, frames[:, index], residual, size, cfg))
@@ -429,7 +427,7 @@ def framewise(
     GLOBAL_MSE, GLOBAL_SI_SDR, BSSEVAL_V3_SDR). Both signals are cut into
     frames of cfg.frame_length seconds at a stride of cfg.hop_length seconds;
     only frames fully contained in the signal are used. Frames whose
-    reference energy is at or below cfg.silent_frame_energy_floor are
+    reference energy is at or below DEFAULT_ENERGY_FLOOR are
     skipped, as are frames where the underlying metric is undefined.
     Survivors are combined with cfg.aggregation.
     """

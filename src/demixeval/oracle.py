@@ -2,11 +2,11 @@
 
 Two upper-bound systems built on an in-house STFT:
 
-* ideal_swf: single-channel soft Wiener filter, a power-spectrogram ratio
-  mask applied per channel.
-* ideal_mwf: multichannel (spatial) Wiener filter using per-bin 2x2 source
-  covariances, which exploits panning differences that a per-channel mask
-  cannot.
+* ideal_swf: single-channel soft Wiener filter, a ratio mask of the stem
+  powers |S_k|^2 applied per channel.
+* ideal_mwf: multichannel (spatial) Wiener filter using the 2x2 source
+  covariances of each bin and frame, which exploits panning differences
+  that a per-channel mask cannot.
 
 Plus mixture_baseline, the lower bound that returns the mixture for every
 stem. separate() streams any of the three over Waveforms or WAVE files: it
@@ -35,13 +35,11 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """STFT geometry and filter parameters for the oracle separators."""
+    """STFT geometry and MWF regularization; the SWF mask exponent is 2 and each MWF covariance one frame's."""
 
     fft_size: int = 4096
     hop: int = 1024
     mwf_regularization: float = 1e-10
-    mask_exponent: float = 2.0
-    covariance_frames: int = 1  # odd; width of the temporal covariance average
 
     def __post_init__(self) -> None:
         if self.fft_size < 4 or self.fft_size % 2 != 0:
@@ -53,10 +51,6 @@ class OracleConfig:
             raise InvalidInputError("hop must be in [1, fft_size // 2]")
         if not 0 < self.mwf_regularization < np.inf:  # NaN fails the comparison too
             raise InvalidInputError("mwf_regularization must be finite and > 0")
-        if not 0 < self.mask_exponent < np.inf:
-            raise InvalidInputError("mask_exponent must be finite and > 0")
-        if self.covariance_frames < 1 or self.covariance_frames % 2 == 0:
-            raise InvalidInputError("covariance_frames must be an odd integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,9 +170,9 @@ def _check_oracle_inputs(mixture, references: Mapping, cfg: OracleConfig, multic
     _check_length(mixture.num_frames, cfg)
 
 
-def _ratio_masks(stem_bins: np.ndarray, exponent: float) -> np.ndarray:
-    """|S_k|^p / (sum_j |S_j|^p + delta) for stem bins stacked on axis 0."""
-    powers = np.abs(stem_bins) ** exponent
+def _ratio_masks(stem_bins: np.ndarray) -> np.ndarray:
+    """|S_k|^2 / (sum_j |S_j|^2 + delta) for stem bins stacked on axis 0."""
+    powers = np.abs(stem_bins) ** 2.0
     # relative + absolute stabilizer: keeps the float-rounded mask sum <= 1
     # per bin and maps all-silent bins to mask 0
     return powers / (sum(powers) * (1.0 + 16.0 * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny)
@@ -187,40 +181,22 @@ def _ratio_masks(stem_bins: np.ndarray, exponent: float) -> np.ndarray:
 def swf_masks(references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()) -> dict:
     """Ratio masks from the true stem spectrograms.
 
-    mask_k = |S_k|^p / (sum_j |S_j|^p + delta) per channel and TF bin, with
-    p = cfg.mask_exponent and delta a machine epsilon. Masks lie in [0, 1]
-    and sum to at most 1 per bin.
+    mask_k = |S_k|^2 / (sum_j |S_j|^2 + delta) per channel and TF bin, with
+    delta a machine epsilon. Masks lie in [0, 1] and sum to at most 1 per bin.
     """
     kinds = [k for k in StemKind if k in references]
     stem_bins = np.stack([stft(references[kind], cfg).bins for kind in kinds])
-    return dict(zip(kinds, _ratio_masks(stem_bins, cfg.mask_exponent)))
+    return dict(zip(kinds, _ratio_masks(stem_bins)))
 
 
-def _smooth_time(values: np.ndarray, half: int, start: int, stop: int, total: int) -> np.ndarray:
-    """Per frame start..stop - 1, the mean of the song's frames within half; values starts at max(start - half, 0)."""
-    if not half:
-        return values
-    edges = [(max(half - start, 0), max(stop + half - total, 0))] + [(0, 0)] * (values.ndim - 1)
-    padded = np.pad(values, edges)
-    sums = sum(padded[offset : offset + stop - start] for offset in range(2 * half + 1))
-    frames = np.arange(start, stop)
-    counts = np.minimum(frames + half + 1, total) - np.maximum(frames - half, 0)
-    return sums / counts[:, None]
-
-
-def _mwf_bins(spec: np.ndarray, cfg: OracleConfig, start: int, stop: int, total: int) -> np.ndarray:
-    """Multichannel Wiener estimate bins (stems, 2, frames, bins) of frames start..stop - 1.
-
-    spec stacks the mixture's and the stems' STFT frames from
-    max(start - half, 0) to min(stop + half, total), half = covariance_frames // 2.
-    """
-    half = cfg.covariance_frames // 2
-    covariances = []  # per stem, the Hermitian (|L|^2, |R|^2, L conj(R)) of each bin
-    for left, right in spec[1:]:
-        # conj(R) L in this operand order: a complex product's rounding depends on the order
-        # (fused multiply-adds), and numpy swaps L * R.conj() when it reuses a large temporary
-        values = (left.real**2 + left.imag**2, right.real**2 + right.imag**2, right.conj() * left)
-        covariances.append([_smooth_time(v, half, start, stop, total) for v in values])
+def _mwf_bins(spec: np.ndarray, cfg: OracleConfig) -> np.ndarray:
+    """Multichannel Wiener estimate bins (stems, 2, frames, bins) from spec, the mixture's and the stems' STFT frames."""
+    # per stem, the Hermitian (|L|^2, |R|^2, L conj(R)) of each bin; conj(R) L in this operand
+    # order: a complex product's rounding depends on the order (fused multiply-adds), and numpy
+    # swaps L * R.conj() when it reuses a large temporary
+    covariances = [
+        (left.real**2 + left.imag**2, right.real**2 + right.imag**2, right.conj() * left) for left, right in spec[1:]
+    ]
     # sum() starts from 0, so these are new arrays and safe to update in place
     left, right, cross = (sum(cov[i] for cov in covariances) for i in range(3))
 
@@ -229,8 +205,7 @@ def _mwf_bins(spec: np.ndarray, cfg: OracleConfig, start: int, stop: int, total:
     left += lam
     right += lam
     det = left * right - (cross.real**2 + cross.imag**2)
-    first = max(start - half, 0)
-    x_left, x_right = spec[0][:, start - first : stop - first]
+    x_left, x_right = spec[0]
     y_left = (right * x_left - cross * x_right) / det
     y_right = (left * x_right - cross.conj() * x_left) / det
     return np.array(
@@ -264,37 +239,29 @@ def separate(kind: str, mixture, references: Mapping, cfg: OracleConfig = Oracle
 def _stream(multichannel: bool, mixture, references: Mapping, cfg: OracleConfig) -> Iterator[np.ndarray]:
     """separate()'s chunk loop for SWF and MWF.
 
-    Chunk j's buffer holds the padded samples [j * step - 2 * half * hop, (j + 1) * step + fft_size) of
-    every signal, step = _CHUNK_FRAMES * hop, half = covariance_frames // 2 for MWF and 0 for SWF. It
-    filters the frames up to half before its last, from spectra of half more on either side, and
-    yields the samples no later frame reaches.
+    Chunk j's buffer holds the padded samples [j * step, (j + 1) * step + fft_size) of every signal,
+    step = _CHUNK_FRAMES * hop. It filters the frames the buffer holds whole that no earlier chunk
+    filtered, and yields the samples no later frame reaches.
     """
     length, hop = cfg.fft_size, cfg.hop
-    half = cfg.covariance_frames // 2 if multichannel else 0
     window = _hann_periodic(length)
     signals = [mixture] + [references[kind] for kind in StemKind if kind in references]
     total = _frame_count(mixture.num_frames, cfg)
-    step, carried = _CHUNK_FRAMES * hop, 2 * half * hop + length
-    buffer = np.zeros((len(signals), mixture.num_channels, carried + step))
+    step = _CHUNK_FRAMES * hop
+    buffer = np.zeros((len(signals), mixture.num_channels, length + step))
     blocks = zip(*(sample_blocks(signal, step) for signal in signals))
     sums = weights = np.zeros(0)  # overlap-add sums left open by earlier chunks
     chunk = done = 0  # done: frames filtered so far
     while done < total:
-        buffer[..., :carried] = buffer[..., step:]
-        buffer[..., carried:] = 0.0
+        buffer[..., :length] = buffer[..., step:]
+        buffer[..., length:] = 0.0
         for row, block in zip(buffer, next(blocks, ())):
-            row[:, carried : carried + block.shape[1]] = block
-        origin = chunk * step + length - carried  # padded position of the buffer's first sample
+            row[:, length : length + block.shape[1]] = block
+        origin = chunk * step  # padded position of the buffer's first sample
         chunk += 1
-        stop = min(chunk * _CHUNK_FRAMES + 1 - half, total)
-        if stop <= done:  # a halo wider than a chunk
-            continue
-        low, high = max(done - half, 0), min(stop + half, total)
-        spec = _analysis(buffer[..., low * hop - origin : (high - 1) * hop + length - origin], window, hop)
-        if multichannel:
-            bins = _mwf_bins(spec, cfg, done, stop, total)
-        else:
-            bins = _ratio_masks(spec[1:], cfg.mask_exponent) * spec[0]
+        stop = min(chunk * _CHUNK_FRAMES + 1, total)
+        spec = _analysis(buffer[..., done * hop - origin : (stop - 1) * hop + length - origin], window, hop)
+        bins = _mwf_bins(spec, cfg) if multichannel else _ratio_masks(spec[1:]) * spec[0]
         frames = np.fft.irfft(bins, n=length, axis=-1)
         frames *= window
         sums = _overlap_add(frames, sums, hop)
@@ -327,8 +294,8 @@ def ideal_swf(mixture: Waveform, references: Mapping[StemKind, Waveform], cfg: O
 def ideal_mwf(mixture: Waveform, references: Mapping[StemKind, Waveform], cfg: OracleConfig = OracleConfig()) -> dict:
     """Multichannel Wiener filter oracle for stereo signals.
 
-    Per TF bin, each source contributes an empirical 2x2 spatial covariance
-    R_k = S_k S_k^H (averaged over cfg.covariance_frames frames). The filter
+    Per TF bin, each source contributes the empirical 2x2 spatial covariance
+    of that one frame, R_k = S_k S_k^H. The filter
     is W_k = R_k (sum_j R_j + lambda I)^-1 with lambda proportional to the
     local trace, and the estimate is istft(W_k X). Requires 2 channels.
     Each stem's STFT only yields its Hermitian covariance. The closed-form

@@ -225,22 +225,16 @@ def istft_reference(bins, fft_size, hop, signal_length):
 def mwf_reference(mixture, references, cfg):
     """Multichannel Wiener oracle with full complex 2x2 matrices and np.linalg.inv.
 
-    Per bin: R_k = S_k S_k^H averaged over cfg.covariance_frames frames,
-    W_k = R_k (sum_j R_j + lambda I)^-1 with lambda = reg * trace / 2 + eps,
-    estimate_k = W_k X. Returns {kind: samples}.
+    Per bin and frame: R_k = S_k S_k^H, W_k = R_k (sum_j R_j + lambda I)^-1
+    with lambda = reg * trace / 2 + eps, estimate_k = W_k X. Returns
+    {kind: samples}.
     """
     fft_size, hop = cfg.fft_size, cfg.hop
     mix = stft_reference(mixture.samples, fft_size, hop)
-    half = cfg.covariance_frames // 2
     covariances = {}
     for kind, stem in references.items():
         spec = stft_reference(stem.samples, fft_size, hop)
-        instant = np.einsum("aft,bft->ftab", spec, spec.conj())
-        frames = instant.shape[1]
-        covariances[kind] = np.stack(
-            [instant[:, max(t - half, 0) : t + half + 1].mean(axis=1) for t in range(frames)],
-            axis=1,
-        )
+        covariances[kind] = np.einsum("aft,bft->ftab", spec, spec.conj())
     total = sum(covariances.values())
     trace = np.real(total[..., 0, 0] + total[..., 1, 1])
     lam = cfg.mwf_regularization * trace / 2.0 + np.finfo(np.float64).eps

@@ -247,6 +247,7 @@ def test_rank_from_score_files(dataset, baseline_submission, tmp_path, capsys):
         == 0
     )
     out = capsys.readouterr().out
+    assert "# rounds = 1,2,3\n" in out
     lines = [l for l in out.split("\n") if l and not l.startswith("#")]
     assert lines[0].startswith("rank,system_id")
     assert lines[1].startswith("1,oracle_swf")
@@ -589,6 +590,34 @@ def test_rank_refuses_documents_scored_differently(
     assert captured.err.startswith(f"error: score files disagree on {flag[2:]}")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        (None, "score document has no 'training_data_declaration' field"),
+        (5, "training_data_declaration must be a JSON string, got 5"),
+        ("private corpus of 10000 songs", "leaderboard A requires a training data declaration naming only MUSDB18"),
+    ],
+    ids=["missing", "number", "other-corpus"],
+)
+def test_rank_applies_board_a_training_data_rule(score_document, tmp_path, capsys, declaration, message):
+    doc = dict(score_document, leaderboard="A", training_data_declaration=declaration)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    capsys.readouterr()
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_one_error_line(capsys, message)
+
+
+def test_rank_refuses_documents_on_different_rounds(score_document, tmp_path, capsys):
+    paths = []
+    for system, rounds in (("sys_0", [1, 2, 3]), ("sys_1", [1])):
+        paths.append(tmp_path / f"{system}.json")
+        paths[-1].write_text(json.dumps(dict(score_document, system_id=system, rounds=rounds)))
+    capsys.readouterr()
+    assert run(["rank", "--scores", *map(str, paths)]) == 1
+    _assert_one_error_line(capsys, "error: score files disagree on rounds: [[1], [1, 2, 3]]")
 
 
 @pytest.mark.parametrize("command", ["score", "oracle"])

@@ -460,6 +460,17 @@ class TestRank:
             if mend is not None:
                 mend()
 
+    def test_rounds_disagreement_rejected_after_song_sets(self):
+        documents = score_documents({"a": [_song_score("s1", 1, 2, 3, 4)], "b": [_song_score("s2", 4, 3, 2, 1)]})
+        documents[1]["rounds"] = frozenset({1})
+        with pytest.raises(InvalidInputError, match="systems were not scored on the same songs"):
+            rank(documents)
+        documents[1]["scores"] = [_song_score("s1", 4, 3, 2, 1)]
+        with pytest.raises(InvalidInputError, match=re.escape("score files disagree on rounds: [[1], [1, 2, 3]]")):
+            rank(documents)
+        documents[0]["rounds"] = frozenset({1})
+        assert [entry.system_id for entry in rank(documents)] == ["a", "b"]
+
 
 class TestSubmissionDescriptor:
     def test_board_a_accepts_musdb_variants(self, tmp_path):
@@ -473,6 +484,36 @@ class TestSubmissionDescriptor:
 
     def test_board_b_unconstrained(self, tmp_path):
         SubmissionDescriptor("sys", Leaderboard.B, "anything at all", tmp_path)
+
+    def test_loaded_document_keeps_the_board_a_rule(self, tmp_path):
+        submission = SubmissionDescriptor("sys", Leaderboard.A, "MUSDB18-HQ", tmp_path)
+        document = scores_to_document(submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig())
+        path = tmp_path / "scores.json"
+        cases = [
+            ("MUSDB18, musdb18-hq", None),
+            ("private corpus of 10000 songs", "system sys: leaderboard A requires a training data declaration "
+             "naming only MUSDB18 or MUSDB18-HQ, got 'private corpus of 10000 songs'"),
+            ("", "naming only MUSDB18 or MUSDB18-HQ, got ''"),
+            (["MUSDB18"], "training_data_declaration must be a JSON string, got ['MUSDB18']"),
+            (None, "score document has no 'training_data_declaration' field"),
+        ]
+        for declaration, message in cases:
+            document["training_data_declaration"] = declaration
+            path.write_text(json.dumps({k: v for k, v in document.items() if v is not None}))
+            if message is None:
+                assert load_score_document(path)["leaderboard"] is Leaderboard.A
+                continue
+            with pytest.raises(InvalidInputError, match=re.escape(message)) as excinfo:
+                load_score_document(path)
+            assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_loaded_board_b_document_needs_no_declaration(self, tmp_path):
+        submission = SubmissionDescriptor("sys", Leaderboard.B, "private corpus", tmp_path)
+        document = scores_to_document(submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig())
+        del document["training_data_declaration"]
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps(document))
+        assert load_score_document(path)["leaderboard"] is Leaderboard.B
 
 
 class TestSerialization:

@@ -501,9 +501,7 @@ class TestMetricConfig:
             MetricConfig(frame_length=1.0, hop_length=2.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
-    @pytest.mark.parametrize(
-        "field", ["epsilon", "frame_length", "hop_length", "silent_frame_energy_floor"]
-    )
+    @pytest.mark.parametrize("field", ["epsilon", "frame_length", "hop_length"])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             MetricConfig(**{field: value})

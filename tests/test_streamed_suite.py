@@ -24,6 +24,7 @@ from demixeval.errors import AudioFormatError, CorruptFileError, InvalidInputErr
 from demixeval.metrics import (
     _ENERGY_BLOCK,
     DB_CLAMP,
+    DEFAULT_ENERGY_FLOOR,
     _energies,
     Aggregation,
     MetricConfig,
@@ -37,7 +38,7 @@ from helpers import add_partial_frame, write_encoded_wav
 
 RATE = 2000  # a 30 s frame is 60000 frames, so a few blocks hold every series
 EPS = MetricConfig().epsilon
-FLOOR = MetricConfig().silent_frame_energy_floor
+FLOOR = DEFAULT_ENERGY_FLOOR
 LENGTHS = (
     1, _ENERGY_BLOCK - 1, _ENERGY_BLOCK, _ENERGY_BLOCK + 1, 3 * _ENERGY_BLOCK + 1234,
     RATE - 1, RATE, RATE + 1,
