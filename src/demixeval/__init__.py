@@ -22,14 +22,12 @@ _EXPORTS = {
         "Aggregation",
         "MetricConfig",
         "MetricId",
-        "StemScores",
         "bsseval_v3_sdr",
         "framewise",
         "global_mae",
         "global_mse",
         "global_sdr",
         "metric_suite",
-        "sdr_song",
         "si_sdr",
     ),
     "oracle": (
@@ -45,7 +43,6 @@ _EXPORTS = {
     "harness": (
         "Leaderboard",
         "LeaderboardEntry",
-        "RoundPlan",
         "SongScore",
         "SubmissionDescriptor",
         "evaluate_submission",

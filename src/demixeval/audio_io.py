@@ -429,10 +429,15 @@ def load_manifest(path) -> DatasetManifest:
     for index, record in enumerate(_typed(doc["songs"], list, f"{path}: songs")):
         if not isinstance(record, dict):
             raise ManifestError(f"{path}: song record {index} must be an object")
-        song_id = record.get("song_id")
-        if not song_id:
+        if "song_id" not in record:
             raise ManifestError(f"{path}: song record {index} has no song_id")
-        _typed(song_id, str, f"{path}: song record {index}: song_id")
+        song_id = _typed(record["song_id"], str, f"{path}: song record {index}: song_id")
+        # a song id names a directory under --out and --estimates and a CSV cell
+        if song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
+            raise ManifestError(
+                f"{path}: song record {index}: song_id {song_id!r} must be a non-empty name, "
+                "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF"
+            )
         stems_doc = record.get("stems")
         if not isinstance(stems_doc, dict):
             raise ManifestError(f"song {song_id}: missing stems object")

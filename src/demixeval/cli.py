@@ -214,7 +214,7 @@ def cmd_plan(args) -> int:
     print("song_id,round")
     for entry in manifest.songs:
         if not entry.is_demo:
-            print(f"{entry.song_id},{plan.round_assignment[entry.song_id]}")
+            print(f"{entry.song_id},{plan[entry.song_id]}")
     return 0
 
 

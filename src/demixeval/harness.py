@@ -32,7 +32,7 @@ from .errors import (
     MissingEstimateError,
     MissingSubmissionError,
 )
-from .metrics import MetricConfig, StemScores, sdr_song, streamed_sdr
+from .metrics import MetricConfig, streamed_sdr
 
 
 class Leaderboard(Enum):
@@ -76,32 +76,33 @@ class SubmissionDescriptor:
 
 @dataclass(frozen=True)
 class SongScore:
-    """Scores for one song: raw per-stem SDR plus the exclusion-aware mean."""
+    """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
+
+    per_stem is a non-empty {StemKind: float}, kept in StemKind order.
+    """
 
     song_id: str
-    per_stem: StemScores
+    per_stem: Mapping[StemKind, float]
     excluded_stems: Mapping[StemKind, str]
     excluded_song: bool = False
     exclusion_reason: str = ""
 
     def __post_init__(self) -> None:
+        per_stem = {k: float(v) for k, v in self.per_stem.items()}
+        if not per_stem:
+            raise InvalidInputError("per_stem needs at least one value")
+        if any(not isinstance(k, StemKind) for k in per_stem):
+            raise InvalidInputError("per_stem keys must be StemKind members")
+        object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind if k in per_stem})
         object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
 
     @property
     def sdr_song(self) -> float:
-        """The mean of per_stem over the stems not in excluded_stems."""
-        values = self.per_stem.values
-        return sdr_song(StemScores({k: v for k, v in values.items() if k not in self.excluded_stems}))
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """Partition of the non-demo songs into rounds 1..3."""
-
-    round_assignment: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "round_assignment", dict(self.round_assignment))
+        """The mean of per_stem over the stems not in excluded_stems, summed in
+        StemKind order: normally the four-stem mean, the three-stem one with a
+        silent stem excluded."""
+        kept = [v for k, v in self.per_stem.items() if k not in self.excluded_stems]
+        return sum(kept) / len(kept)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ class LeaderboardEntry:
         object.__setattr__(self, "per_stem_means", dict(self.per_stem_means))
 
 
-def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
-    """Split the non-demo songs into three near-equal rounds.
+def plan_rounds(manifest: DatasetManifest, seed: int) -> dict:
+    """{song_id: round} splitting the non-demo songs into three near-equal rounds 1..3.
 
     Deterministic for a given seed; demo songs are assigned to no round.
     """
@@ -129,8 +130,7 @@ def plan_rounds(manifest: DatasetManifest, seed: int) -> RoundPlan:
         )
     order = np.random.default_rng(seed).permutation(len(eligible))
     by_position = {eligible[int(idx)]: position % 3 + 1 for position, idx in enumerate(order)}
-    assignment = {song_id: by_position[song_id] for song_id in eligible}
-    return RoundPlan(assignment)
+    return {song_id: by_position[song_id] for song_id in eligible}
 
 
 def score_song(
@@ -168,7 +168,7 @@ def score_song(
             raise InvalidInputError(f"song {entry.song_id}, stem {kind}: {exc}") from None
     return SongScore(
         song_id=entry.song_id,
-        per_stem=StemScores(values),
+        per_stem=values,
         excluded_stems={kind: "silent reference" for kind in StemKind if kind in entry.silent_stems},
         excluded_song=entry.is_demo,
         exclusion_reason="demo song" if entry.is_demo else "",
@@ -200,7 +200,7 @@ def _score_task(task):
 def evaluate_submission(
     submission: SubmissionDescriptor,
     manifest: DatasetManifest,
-    plan: RoundPlan,
+    plan: Mapping[str, int],
     rounds,
     cfg: MetricConfig = MetricConfig(),
     jobs: int = 1,
@@ -218,7 +218,7 @@ def evaluate_submission(
     for song in manifest.songs:
         if song.is_demo:
             continue
-        assigned = plan.round_assignment.get(song.song_id)
+        assigned = plan.get(song.song_id)
         if assigned is None:
             raise InvalidInputError(f"song {song.song_id} is not covered by the round plan")
         if assigned in rounds:
@@ -298,9 +298,9 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
         per_stem = {}
         for kind in StemKind:
             values = [
-                score.per_stem.values[kind]
+                score.per_stem[kind]
                 for score in scores
-                if kind in score.per_stem.values and kind not in score.excluded_stems
+                if kind in score.per_stem and kind not in score.excluded_stems
             ]
             if values:
                 per_stem[kind] = sum(values) / len(values)
@@ -374,7 +374,7 @@ def scores_to_csv(system_id: str, scores: Sequence[SongScore]) -> str:
             [
                 system_id,
                 score.song_id,
-                *(format_value(score.per_stem.values[kind]) for kind in StemKind),
+                *(format_value(score.per_stem[kind]) for kind in StemKind),
                 format_value(score.sdr_song),
                 excluded,
                 score.exclusion_reason if score.excluded_song else "",
@@ -401,10 +401,7 @@ def scores_to_document(
         "scores": [
             {
                 "song_id": score.song_id,
-                "per_stem": {
-                    kind.value: score.per_stem.values[kind] for kind in StemKind
-                    if kind in score.per_stem.values
-                },
+                "per_stem": {kind.value: value for kind, value in score.per_stem.items()},
                 "sdr_song": score.sdr_song,
                 "excluded_stems": {
                     kind.value: reason for kind, reason in score.excluded_stems.items()
@@ -437,7 +434,9 @@ def load_score_document(path) -> dict:
     leaderboard A document whose training_data_declaration is missing, not a
     JSON string, or names anything but MUSDB18 or MUSDB18-HQ, and a song
     record without a value for every stem, with every stem excluded, or
-    whose sdr_song is not the mean of its kept stems, bit for bit.
+    whose sdr_song is not the mean of its kept stems, bit for bit. Each
+    message starts with the path; a field of the wrong JSON type reads
+    "malformed score document (...)", a broken rule gives the rule alone.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -450,8 +449,7 @@ def load_score_document(path) -> dict:
         seed = _typed(doc["seed"], int, "seed")
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
-        scores = []
-        stored = []
+        records = []  # (stored sdr_song, SongScore fields)
         seen = set()
         for index, record in enumerate(_typed(doc["scores"], list, "scores")):
             song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
@@ -467,41 +465,45 @@ def load_score_document(path) -> dict:
                 StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
                 for name, reason in record.get("excluded_stems", {}).items()
             }
-            stored.append(_finite(record["sdr_song"], f"{song}: sdr_song"))
-            scores.append(
-                SongScore(
+            records.append((
+                _finite(record["sdr_song"], f"{song}: sdr_song"),
+                dict(
                     song_id=song_id,
-                    per_stem=StemScores(values),
+                    per_stem=values,
                     excluded_stems=excluded,
                     excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
                     exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
-                )
-            )
+                ),
+            ))
         document = {
             "system_id": _typed(doc["system_id"], str, "system_id"),
             "leaderboard": Leaderboard(doc["leaderboard"]),
             "rounds": frozenset(rounds),
             "seed": seed,
             "epsilon": _finite(doc["epsilon"], "epsilon"),
-            "scores": scores,
         }
         if document["leaderboard"] is Leaderboard.A:  # board B takes any declaration, or none
             declaration = _typed(doc["training_data_declaration"], str, "training_data_declaration")
             _check_board_a_declaration(document["system_id"], declaration)
     except KeyError as exc:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None
+    except InvalidInputError as exc:  # a rule, not a type: no "malformed"
+        raise InvalidInputError(f"{path}: {exc}") from None
     except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed score document ({exc})") from None
     # after every type check, so a mistyped document is refused for its type first
-    for score, mean in zip(scores, stored):
-        song = f"{path}: song {score.song_id}"
-        missing = [kind.value for kind in StemKind if kind not in score.per_stem.values]
+    document["scores"] = []
+    for mean, fields in records:
+        song = f"{path}: song {fields['song_id']}"
+        missing = [kind.value for kind in StemKind if kind not in fields["per_stem"]]
         if missing:
             raise InvalidInputError(f"{song}: no value for {', '.join(missing)}")
-        if len(score.excluded_stems) == len(StemKind):
+        if len(fields["excluded_stems"]) == len(StemKind):
             raise InvalidInputError(f"{song}: every stem is excluded")
+        score = SongScore(**fields)
         if mean != score.sdr_song:
             raise InvalidInputError(f"{song}: sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
+        document["scores"].append(score)
     return document
 
 

@@ -43,11 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
 
 import numpy as np
 
-from .audio_io import StemKind, Waveform, sample_blocks
+from .audio_io import Waveform, sample_blocks
 from .errors import InvalidInputError, UndefinedMetricError
 
 DB_CLAMP = 120.0  # stand-in for +-infinity; far outside any realistic score
@@ -65,32 +64,14 @@ class Aggregation(Enum):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Parameters shared by the metric family.
-
-    frame_length and hop_length are in seconds and only consulted by
-    framewise evaluation. A frame (or a whole signal, for SI-SDR) whose
-    reference energy is at most DEFAULT_ENERGY_FLOOR counts as silent.
-    """
+    """The stabilizer of the SDR metrics, shared by the scoring layers."""
 
     epsilon: float = DEFAULT_EPSILON
-    frame_length: Optional[float] = None
-    hop_length: Optional[float] = None
-    aggregation: Aggregation = Aggregation.MEAN
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so each check states what must hold
+        # NaN fails every comparison, so the check states what must hold
         if not 0 < self.epsilon < math.inf:
             raise InvalidInputError("epsilon must be finite and > 0")
-        if self.frame_length is not None and not 0 < self.frame_length < math.inf:
-            raise InvalidInputError("frame_length must be finite and > 0 when given")
-        if self.hop_length is not None and not 0 < self.hop_length < math.inf:
-            raise InvalidInputError("hop_length must be finite and > 0 when given")
-        if (
-            self.frame_length is not None
-            and self.hop_length is not None
-            and self.hop_length > self.frame_length
-        ):
-            raise InvalidInputError("hop_length must not exceed frame_length")
 
 
 class MetricId(Enum):
@@ -351,8 +332,10 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     return totals, global_residual, values
 
 
-def _global(base: MetricId, reference, estimate, cfg: MetricConfig) -> float:
+def _global(base: MetricId, reference, estimate) -> float:
+    """One global metric that does not read epsilon: MAE, MSE, SI-SDR or BSS Eval v3."""
     _check_pair(reference, estimate)
+    cfg = MetricConfig()
     totals, residual, _ = _evaluate(reference, estimate, cfg, (), base is MetricId.GLOBAL_SI_SDR)
     return _value(base, totals, residual, reference.num_channels * reference.num_frames, cfg)
 
@@ -381,32 +364,32 @@ def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> flo
 
 def global_mae(reference: Waveform, estimate: Waveform) -> float:
     """Mean absolute error over all channels and frames. Lower is better."""
-    return _global(MetricId.GLOBAL_MAE, reference, estimate, MetricConfig())
+    return _global(MetricId.GLOBAL_MAE, reference, estimate)
 
 
 def global_mse(reference: Waveform, estimate: Waveform) -> float:
     """Mean squared error over all channels and frames. Lower is better."""
-    return _global(MetricId.GLOBAL_MSE, reference, estimate, MetricConfig())
+    return _global(MetricId.GLOBAL_MSE, reference, estimate)
 
 
-def si_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
+def si_sdr(reference: Waveform, estimate: Waveform) -> float:
     """Scale-invariant SDR in dB over channel-concatenated signals.
 
     The estimate is projected onto the reference (target = <y, s>/||s||^2 * s)
     so pure gain errors do not count. Clamped to +-120 dB; a silent reference
     raises UndefinedMetricError.
     """
-    return _global(MetricId.GLOBAL_SI_SDR, reference, estimate, cfg)
+    return _global(MetricId.GLOBAL_SI_SDR, reference, estimate)
 
 
-def bsseval_v3_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
+def bsseval_v3_sdr(reference: Waveform, estimate: Waveform) -> float:
     """Energy-ratio SDR with no stabilizing constant, BSS Eval v3 style.
 
     Equals global_sdr up to the epsilon terms. Returns the +120 dB sentinel
     for an exactly-zero error and raises UndefinedMetricError for an
     exactly-silent reference.
     """
-    return _global(MetricId.BSSEVAL_V3_SDR, reference, estimate, cfg)
+    return _global(MetricId.BSSEVAL_V3_SDR, reference, estimate)
 
 
 def _aggregate(values: list, aggregation: Aggregation) -> float:
@@ -419,28 +402,36 @@ def framewise(
     metric: MetricId,
     reference: Waveform,
     estimate: Waveform,
-    cfg: MetricConfig,
+    frame_length: float,
+    hop_length: float,
+    aggregation: Aggregation = Aggregation.MEAN,
+    cfg: MetricConfig = MetricConfig(),
 ) -> float:
     """Evaluate a global metric on fixed-length frames and aggregate.
 
     `metric` must be one of the global ids (GLOBAL_SDR, GLOBAL_MAE,
     GLOBAL_MSE, GLOBAL_SI_SDR, BSSEVAL_V3_SDR). Both signals are cut into
-    frames of cfg.frame_length seconds at a stride of cfg.hop_length seconds;
-    only frames fully contained in the signal are used. Frames whose
-    reference energy is at or below DEFAULT_ENERGY_FLOOR are
-    skipped, as are frames where the underlying metric is undefined.
-    Survivors are combined with cfg.aggregation.
+    frames of frame_length seconds at a stride of hop_length seconds, both
+    finite and > 0 with the hop no longer than the frame; only frames fully
+    contained in the signal are used. Frames whose reference energy is at or
+    below DEFAULT_ENERGY_FLOOR are skipped, as are frames where the
+    underlying metric is undefined. Survivors are combined with aggregation.
     """
+    # NaN fails every comparison, so each check states what must hold
+    if not 0 < frame_length < math.inf:
+        raise InvalidInputError("frame_length must be finite and > 0")
+    if not 0 < hop_length < math.inf:
+        raise InvalidInputError("hop_length must be finite and > 0")
+    if hop_length > frame_length:
+        raise InvalidInputError("hop_length must not exceed frame_length")
     _check_pair(reference, estimate)
     if metric not in _GLOBAL_IDS:
         raise InvalidInputError(f"{metric} is not a global metric id")
-    if cfg.frame_length is None or cfg.hop_length is None:
-        raise InvalidInputError("framewise evaluation needs frame_length and hop_length")
-    grid = _grid(reference, cfg.frame_length, cfg.hop_length)
+    grid = _grid(reference, frame_length, hop_length)
     _, _, (values,) = _evaluate(reference, estimate, cfg, [(metric, grid)], False)
     if not values:
         raise UndefinedMetricError("no frame produced a defined value")
-    return _aggregate(values, cfg.aggregation)
+    return _aggregate(values, aggregation)
 
 
 # (base metric, frame s, hop s, mean id, median id): one per-frame series each
@@ -487,31 +478,3 @@ def metric_suite(reference, estimate, cfg: MetricConfig = MetricConfig()) -> dic
             results[median_id] = _aggregate(kept, Aggregation.MEDIAN)
     return {metric_id: results[metric_id] for metric_id in MetricId if metric_id in results}
 
-
-@dataclass(frozen=True)
-class StemScores:
-    """Per-stem metric values, in StemKind order.
-
-    Stems excluded from aggregation (silent references) are left out of the
-    map by the caller.
-    """
-
-    values: Mapping[StemKind, float]
-
-    def __post_init__(self) -> None:
-        values = {k: float(v) for k, v in dict(self.values).items()}
-        if not values:
-            raise InvalidInputError("StemScores needs at least one value")
-        if any(not isinstance(k, StemKind) for k in values):
-            raise InvalidInputError("StemScores keys must be StemKind members")
-        object.__setattr__(self, "values", {k: values[k] for k in StemKind if k in values})
-
-
-def sdr_song(scores: StemScores) -> float:
-    """Arithmetic mean of the per-stem values, summed in StemKind order.
-
-    With a silent stem removed by the harness this is the three-stem mean;
-    normally it is the four-stem mean.
-    """
-    values = list(scores.values.values())
-    return sum(values) / len(values)

@@ -503,6 +503,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="guitar"):
             load_manifest(_write_manifest(tmp_path, [record]))
 
+    @pytest.mark.parametrize(
+        "song_id",
+        ["", ".", "..", "a/b", "/root/scratch/escaped", "../outside", "a\\b", "a\0b", "a,b", 'a"b',
+         'a,"b"', "a\rb", "a\nb"],
+        ids=["empty", "dot", "dot-dot", "slash", "absolute", "parent", "backslash", "nul", "comma",
+             "quote", "csv-cell", "cr", "lf"],
+    )
+    def test_unsafe_song_id_rejected(self, tmp_path, song_id):
+        # a song id names a directory under --out or --estimates and a CSV cell
+        songs = [_song_record("SS_001"), _song_record(song_id)]
+        with pytest.raises(ManifestError, match=r"manifest.json: song record 1: song_id .* must be a non-empty name"):
+            load_manifest(_write_manifest(tmp_path, songs))
+
+    @pytest.mark.parametrize("song_id", ["a.b", "...", ".hidden", "song 1", "caf\u00e9"])
+    def test_plain_song_id_accepted(self, tmp_path, song_id):
+        manifest = load_manifest(_write_manifest(tmp_path, [_song_record(song_id)]))
+        assert manifest.songs[0].song_id == song_id
+
     def test_relative_paths_resolve_against_manifest_dir(self, tmp_path):
         manifest = load_manifest(_write_manifest(tmp_path, [_song_record("SS_001")]))
         entry = manifest.songs[0]

@@ -434,6 +434,36 @@ def test_negative_seed_rejected(dataset, baseline_submission, capsys, command):
     _assert_one_error_line(capsys, "seed must be >= 0, got -3")
 
 
+@pytest.mark.parametrize(
+    "command, song_id",
+    [("oracle", "../escape"), ("oracle", "ABSOLUTE"), ("score", "../escape"), ("plan", 'a,"b"'),
+     ("validate", 'a,"b"')],
+    ids=["oracle-parent", "oracle-absolute", "score-parent", "plan-csv-cell", "validate-csv-cell"],
+)
+def test_unsafe_song_id_ends_in_error_and_writes_nothing(dataset, baseline_submission, tmp_path, capsys,
+                                                         command, song_id):
+    if song_id == "ABSOLUTE":
+        song_id = str(tmp_path / "escaped")
+    doc = json.loads(dataset.read_text())
+    for record in doc["songs"]:  # absolute paths, so the manifest can live in tmp_path
+        record["mixture"] = str(dataset.parent / record["mixture"])
+        record["stems"] = {k: str(dataset.parent / v) for k, v in record["stems"].items()}
+    doc["songs"][0]["song_id"] = song_id
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "work" / "out"
+    args = {
+        "oracle": ["--kind", "baseline", "--out", str(out), "--jobs", "1"],
+        "score": ["--estimates", str(baseline_submission), "--system", "s", "--leaderboard", "B",
+                  "--jobs", "1", "--out", str(out / "scores")],
+        "plan": ["--seed", "0"],
+        "validate": [],
+    }[command]
+    assert run([command, "--manifest", str(manifest), *args]) == 1
+    _assert_one_error_line(capsys, f"{manifest}: song record 0: song_id {song_id!r} must be a non-empty name")
+    assert [p for p in tmp_path.rglob("*")] == [manifest]
+
+
 def _set(*keys, value):
     """An edit of a JSON document that sets doc[keys[0]][keys[1]]... to value."""
     def edit(doc):
@@ -608,6 +638,30 @@ def test_rank_applies_board_a_training_data_rule(score_document, tmp_path, capsy
     capsys.readouterr()
     assert run(["rank", "--scores", str(path)]) == 1
     _assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("rounds", value=[1, 2, 3, 7]), "rounds must be a non-empty list drawn from 1, 2, 3, got [1, 2, 3, 7]"),
+        (_set("seed", value=-1), "seed must be >= 0, got -1"),
+        (lambda doc: doc["scores"].append(doc["scores"][0]), "repeated song_id 'syn_000'"),
+        (lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
+         "system baseline: leaderboard A requires a training data declaration naming only MUSDB18 or "
+         "MUSDB18-HQ, got 'private corpus'"),
+    ],
+    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus"],
+)
+def test_rank_rule_violation_is_not_called_malformed(score_document, tmp_path, capsys, edit, message):
+    doc = json.loads(json.dumps(score_document))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["rank", "--scores", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
 
 
 def test_rank_refuses_documents_on_different_rounds(score_document, tmp_path, capsys):

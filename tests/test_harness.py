@@ -29,7 +29,7 @@ from demixeval.harness import (
     scores_to_csv,
     scores_to_document,
 )
-from demixeval.metrics import MetricConfig, StemScores, global_sdr, sdr_song
+from demixeval.metrics import MetricConfig, global_sdr
 from demixeval.synth import make_dataset, make_song
 
 from helpers import score_documents
@@ -67,15 +67,15 @@ class TestPlanRounds:
     def test_27_eligible_gives_three_nines(self, tmp_path):
         manifest = _metadata_only_manifest(tmp_path, 30, demo_indices=(7, 14, 17))
         plan = plan_rounds(manifest, seed=5)
-        counts = Counter(plan.round_assignment.values())
+        counts = Counter(plan.values())
         assert counts == {1: 9, 2: 9, 3: 9}
         demo_ids = {s.song_id for s in manifest.songs if s.is_demo}
-        assert demo_ids.isdisjoint(plan.round_assignment)
+        assert demo_ids.isdisjoint(plan)
 
     def test_four_eligible_near_equal(self, tmp_path):
         manifest = _metadata_only_manifest(tmp_path, 4)
         plan = plan_rounds(manifest, seed=0)
-        sizes = sorted(Counter(plan.round_assignment.values()).values())
+        sizes = sorted(Counter(plan.values()).values())
         assert sizes == [1, 1, 2]
 
     def test_deterministic_under_seed(self, tmp_path):
@@ -84,7 +84,7 @@ class TestPlanRounds:
 
     def test_different_seeds_differ(self, tmp_path):
         manifest = _metadata_only_manifest(tmp_path, 12)
-        plans = {tuple(sorted(plan_rounds(manifest, s).round_assignment.items())) for s in range(8)}
+        plans = {tuple(sorted(plan_rounds(manifest, s).items())) for s in range(8)}
         assert len(plans) > 1
 
     def test_too_few_songs(self, tmp_path):
@@ -112,15 +112,13 @@ class TestScoreSong:
         estimates = {kind: song["stems"][kind] for kind in StemKind}
         score = score_song(entry, estimates)
         assert score.excluded_stems == {StemKind.BASS: "silent reference"}
-        kept = [score.per_stem.values[k] for k in (StemKind.DRUMS, StemKind.OTHER, StemKind.VOCALS)]
+        kept = [score.per_stem[k] for k in (StemKind.DRUMS, StemKind.OTHER, StemKind.VOCALS)]
         assert score.sdr_song == pytest.approx(sum(kept) / 3, abs=1e-12)
 
     def test_hand_arithmetic_three_stem_mean(self):
         # silent bass: mean over drums/other/vocals only
-        scores = StemScores(
-            {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}
-        )
-        assert sdr_song(scores) == 6.0
+        score = SongScore("s", {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}, {})
+        assert score.sdr_song == 6.0
 
     def test_perfect_estimates(self, small_dataset):
         entry = small_dataset.songs[0]
@@ -130,9 +128,9 @@ class TestScoreSong:
         for kind in StemKind:
             energy = float(np.sum(estimates[kind].samples ** 2))
             expected = 10 * np.log10((energy + cfg.epsilon) / cfg.epsilon)
-            assert score.per_stem.values[kind] == pytest.approx(expected, abs=1e-9)
+            assert score.per_stem[kind] == pytest.approx(expected, abs=1e-9)
         assert score.sdr_song == pytest.approx(
-            np.mean([score.per_stem.values[k] for k in StemKind]), abs=1e-12
+            np.mean([score.per_stem[k] for k in StemKind]), abs=1e-12
         )
 
     def test_baseline_composition(self, small_dataset):
@@ -306,7 +304,7 @@ def _song_score(song_id, bass, drums, other, vocals, excluded=(), demo=False):
     }
     return SongScore(
         song_id=song_id,
-        per_stem=StemScores(values),
+        per_stem=values,
         excluded_stems={k: "silent reference" for k in excluded},
         excluded_song=demo,
         exclusion_reason="demo song" if demo else "",
@@ -384,7 +382,7 @@ class TestRank:
         base_mean = rank(score_documents({"sys": scores}))[0].sdr_song_mean
         bumped = list(scores)
         target = scores[2]
-        values = dict(target.per_stem.values)
+        values = dict(target.per_stem)
         values[StemKind.DRUMS] += 3.0
         bumped[2] = _song_score(
             target.song_id,
@@ -607,6 +605,36 @@ class TestSerialization:
             load_score_document(path)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(rounds=[1, 2, 3, 7]), "rounds must be a non-empty list drawn from 1, 2, 3, got [1, 2, 3, 7]"),
+            (lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
+            (lambda doc: doc["scores"].append(dict(doc["scores"][0])), "repeated song_id 'a'"),
+            (lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
+             "system sys: leaderboard A requires a training data declaration naming only MUSDB18 or "
+             "MUSDB18-HQ, got 'private corpus'"),
+        ],
+        ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus"],
+    )
+    def test_document_rule_violation_keeps_its_message(self, tmp_path, edit, message):
+        doc = json.loads(self._document(tmp_path).read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as caught:
+            load_score_document(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_document_type_error_called_malformed(self, tmp_path):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["seed"] = 0.7
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as caught:
+            load_score_document(path)
+        assert str(caught.value) == f"{path}: malformed score document (seed must be a JSON integer, got 0.7)"
+
+    @pytest.mark.parametrize(
         "record, message",
         [
             ({"song_id": "a", "per_stem": {"bass": 1.0}, "sdr_song": 1.0}, "song a: no value for drums, other, vocals"),
@@ -645,6 +673,17 @@ class TestSerialization:
         (score,) = load_score_document(path)["scores"]
         assert score == _song_score("a", 1, 2, 3, 4, excluded=(StemKind.BASS,))
         assert score.sdr_song == 3.0
+
+    def test_document_mean_summed_in_stem_kind_order(self, tmp_path):
+        # summed bass, drums, other, vocals the mean is 0.25; in the file's
+        # reversed key order it would be 0.0
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(per_stem={"vocals": 1.0, "other": -1e16, "drums": 1.0, "bass": 1e16}, sdr_song=0.25)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        (score,) = load_score_document(path)["scores"]
+        assert list(score.per_stem) == list(StemKind)
+        assert score.sdr_song == 0.25
 
     def test_document_accepts_integer_scores(self, tmp_path):
         path = self._document(tmp_path, rounds=[3, 1, 3])

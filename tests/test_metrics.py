@@ -8,19 +8,18 @@ from hypothesis.extra import numpy as hnp
 
 from demixeval.audio_io import StemKind, Waveform
 from demixeval.errors import InvalidInputError, UndefinedMetricError
+from demixeval.harness import SongScore
 from demixeval.metrics import (
     DB_CLAMP,
     Aggregation,
     MetricConfig,
     MetricId,
-    StemScores,
     bsseval_v3_sdr,
     framewise,
     global_mae,
     global_mse,
     global_sdr,
     metric_suite,
-    sdr_song,
     si_sdr,
 )
 from demixeval.metrics import _ENERGY_BLOCK, _energies
@@ -130,14 +129,13 @@ class TestEnergyReduction:
         contiguous = Waveform(ref, 8000), Waveform(est, 8000)
         sdr = global_sdr(*contiguous)
         v3 = bsseval_v3_sdr(*contiguous)
-        whole = MetricConfig(frame_length=frames / 8000, hop_length=frames / 8000)
         for r, e in layouts:
             assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected
             assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected  # repeated call
             pair = Waveform(r, 8000), Waveform(e, 8000)
             assert global_sdr(*pair) == sdr
             assert bsseval_v3_sdr(*pair) == v3
-            assert framewise(MetricId.GLOBAL_SDR, *pair, whole) == sdr
+            assert framewise(MetricId.GLOBAL_SDR, *pair, frames / 8000, frames / 8000) == sdr
 
 
 class TestMaeMse:
@@ -259,9 +257,8 @@ class TestFramewise:
     def test_single_full_frame_equals_global(self, rng):
         ref = noise_waveform(rng, frames=2400, rate=800)
         est = Waveform(ref.samples + 0.1 * rng.standard_normal((2, 2400)), 800)
-        cfg = MetricConfig(frame_length=3.0, hop_length=3.0)
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, cfg) == global_sdr(ref, est)
-        assert framewise(MetricId.GLOBAL_MAE, ref, est, cfg) == global_mae(ref, est)
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 3.0, 3.0) == global_sdr(ref, est)
+        assert framewise(MetricId.GLOBAL_MAE, ref, est, 3.0, 3.0) == global_mae(ref, est)
 
     def test_identical_frames_mean_equals_median(self, rng):
         block_ref = rng.standard_normal((2, 500))
@@ -269,23 +266,20 @@ class TestFramewise:
         ref = Waveform(np.tile(block_ref, 6), 500)
         est = Waveform(np.tile(block_est, 6), 500)
         per_frame = global_sdr(Waveform(block_ref, 500), Waveform(block_est, 500))
-        mean_cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
-        median_cfg = MetricConfig(frame_length=1.0, hop_length=1.0, aggregation=Aggregation.MEDIAN)
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, mean_cfg) == pytest.approx(per_frame, abs=1e-12)
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, median_cfg) == pytest.approx(per_frame, abs=1e-12)
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0) == pytest.approx(per_frame, abs=1e-12)
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0, Aggregation.MEDIAN) == pytest.approx(per_frame, abs=1e-12)
 
     def test_matches_bruteforce_oracle(self, rng):
         rate = 1000
         ref = noise_waveform(rng, frames=10 * rate, rate=rate)
         est = Waveform(ref.samples + 0.2 * rng.standard_normal((2, 10 * rate)), rate)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
         values = []
         for start in range(0, 10 * rate - rate + 1, rate):
             r = ref.samples[:, start : start + rate]
             e = est.samples[:, start : start + rate]
             values.append(two_line_sdr_oracle(r, e))
         assert len(values) == 10
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, cfg) == pytest.approx(
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0) == pytest.approx(
             np.mean(values), abs=1e-9
         )
 
@@ -293,7 +287,6 @@ class TestFramewise:
         rate = 400
         ref = noise_waveform(rng, frames=7 * rate, rate=rate)
         est = Waveform(ref.samples + 0.2 * rng.standard_normal((2, 7 * rate)), rate)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0, aggregation=Aggregation.MEDIAN)
         values = sorted(
             two_line_sdr_oracle(
                 ref.samples[:, s : s + rate], est.samples[:, s : s + rate]
@@ -301,15 +294,14 @@ class TestFramewise:
             for s in range(0, 7 * rate - rate + 1, rate)
         )
         middle = values[len(values) // 2]  # 7 frames, odd count
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, cfg) == pytest.approx(middle, abs=1e-12)
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0, Aggregation.MEDIAN) == pytest.approx(middle, abs=1e-12)
 
     def test_silent_reference_frames_skipped(self, rng):
         rate = 500
         loud = rng.standard_normal((1, rate))
         ref = Waveform(np.concatenate([loud, np.zeros((1, rate)), loud], axis=1), rate)
         est = Waveform(ref.samples + 0.1 * rng.standard_normal((1, 3 * rate)), rate)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
-        got = framewise(MetricId.GLOBAL_SDR, ref, est, cfg)
+        got = framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0)
         kept = [
             two_line_sdr_oracle(ref.samples[:, s : s + rate], est.samples[:, s : s + rate])
             for s in (0, 2 * rate)
@@ -320,28 +312,24 @@ class TestFramewise:
         rate = 100
         ref = Waveform(np.zeros((1, 3 * rate)), rate)
         est = noise_waveform(rng, channels=1, frames=3 * rate, rate=rate)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
         with pytest.raises(UndefinedMetricError):
-            framewise(MetricId.GLOBAL_SDR, ref, est, cfg)
+            framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0)
 
     def test_signal_shorter_than_frame_rejected(self, rng):
         ref = noise_waveform(rng, frames=100, rate=1000)
         est = noise_waveform(rng, frames=100, rate=1000)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
         with pytest.raises(InvalidInputError):
-            framewise(MetricId.GLOBAL_SDR, ref, est, cfg)
+            framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0)
 
     def test_rejects_framewise_metric_id(self, rng):
         ref = noise_waveform(rng)
-        cfg = MetricConfig(frame_length=0.1, hop_length=0.1)
         with pytest.raises(InvalidInputError):
-            framewise(MetricId.FRAMEWISE_SDR_MEAN, ref, ref, cfg)
+            framewise(MetricId.FRAMEWISE_SDR_MEAN, ref, ref, 0.1, 0.1)
 
     def test_trailing_partial_frame_discarded(self, rng):
         rate = 300
         ref = noise_waveform(rng, frames=int(2.6 * rate), rate=rate)
         est = Waveform(ref.samples + 0.1 * rng.standard_normal(ref.samples.shape), rate)
-        cfg = MetricConfig(frame_length=1.0, hop_length=1.0)
         starts = [0, rate]  # frame at 2*rate would run past 2.6*rate
         expected = np.mean(
             [
@@ -351,7 +339,7 @@ class TestFramewise:
                 for s in starts
             ]
         )
-        assert framewise(MetricId.GLOBAL_SDR, ref, est, cfg) == pytest.approx(expected, abs=1e-12)
+        assert framewise(MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMetricSuite:
@@ -399,15 +387,13 @@ class TestMetricSuite:
         assert results[MetricId.GLOBAL_SDR] == global_sdr(ref, est, cfg)
         assert results[MetricId.GLOBAL_MAE] == global_mae(ref, est)
         assert results[MetricId.GLOBAL_MSE] == global_mse(ref, est)
-        assert results[MetricId.GLOBAL_SI_SDR] == si_sdr(ref, est, cfg)
-        assert results[MetricId.BSSEVAL_V3_SDR] == bsseval_v3_sdr(ref, est, cfg)
-        fw = MetricConfig(frame_length=1.0, hop_length=1.0)
+        assert results[MetricId.GLOBAL_SI_SDR] == si_sdr(ref, est)
+        assert results[MetricId.BSSEVAL_V3_SDR] == bsseval_v3_sdr(ref, est)
         assert results[MetricId.FRAMEWISE_SDR_MEAN] == framewise(
-            MetricId.GLOBAL_SDR, ref, est, fw
+            MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0
         )
-        median = MetricConfig(frame_length=1.0, hop_length=1.0, aggregation=Aggregation.MEDIAN)
         assert results[MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEDIAN] == framewise(
-            MetricId.BSSEVAL_V3_SDR, ref, est, median
+            MetricId.BSSEVAL_V3_SDR, ref, est, 1.0, 1.0, Aggregation.MEDIAN
         )
 
     def test_all_seventeen_defined_on_long_signal(self, rng):
@@ -471,8 +457,7 @@ class TestSuiteFramewiseSeries:
     def test_equals_public_framewise(self, pair, metric_id):
         ref, est, results = pair
         base, frame, hop, aggregation = FRAMEWISE_IDS[metric_id]
-        cfg = MetricConfig(frame_length=frame, hop_length=hop, aggregation=aggregation)
-        assert results[metric_id] == framewise(base, ref, est, cfg)
+        assert results[metric_id] == framewise(base, ref, est, frame, hop, aggregation)
 
     @pytest.mark.parametrize("metric_id", list(FRAMEWISE_IDS), ids=str)
     def test_matches_numpy_frames(self, pair, metric_id):
@@ -492,59 +477,72 @@ class TestSuiteFramewiseSeries:
 
 
 class TestMetricConfig:
-    def test_validation(self):
+    """MetricConfig's epsilon, and the frame and hop arguments of framewise."""
+
+    def test_validation(self, rng):
+        ref = noise_waveform(rng)
         with pytest.raises(InvalidInputError):
             MetricConfig(epsilon=0.0)
-        with pytest.raises(InvalidInputError):
-            MetricConfig(frame_length=-1.0, hop_length=1.0)
-        with pytest.raises(InvalidInputError):
-            MetricConfig(frame_length=1.0, hop_length=2.0)
+        with pytest.raises(InvalidInputError, match="frame_length"):
+            framewise(MetricId.GLOBAL_SDR, ref, ref, -1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="hop_length must not exceed frame_length"):
+            framewise(MetricId.GLOBAL_SDR, ref, ref, 1.0, 2.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
     @pytest.mark.parametrize("field", ["epsilon", "frame_length", "hop_length"])
-    def test_non_finite_rejected(self, field, value):
+    def test_non_finite_rejected(self, rng, field, value):
+        ref = noise_waveform(rng)
         with pytest.raises(InvalidInputError, match=field):
-            MetricConfig(**{field: value})
+            if field == "epsilon":
+                MetricConfig(epsilon=value)
+            else:
+                framewise(MetricId.GLOBAL_SDR, ref, ref, **{"frame_length": 0.1, "hop_length": 0.1, field: value})
 
 
 class TestSdrSong:
+    """SongScore.sdr_song, the per-song mean, and SongScore's per_stem checks."""
+
     def test_final_standings_row(self):
-        scores = StemScores(
+        scores = SongScore(
+            "s",
             {
                 StemKind.BASS: 8.115,
                 StemKind.DRUMS: 8.037,
                 StemKind.OTHER: 5.193,
                 StemKind.VOCALS: 7.968,
-            }
+            },
+            {},
         )
-        assert sdr_song(scores) == pytest.approx(7.328, abs=0.0005)
+        assert scores.sdr_song == pytest.approx(7.328, abs=0.0005)
 
     def test_baseline_table_row(self):
-        scores = StemScores(
+        scores = SongScore(
+            "s",
             {
                 StemKind.BASS: 5.62,
                 StemKind.DRUMS: 5.81,
                 StemKind.OTHER: 3.72,
                 StemKind.VOCALS: 6.34,
-            }
+            },
+            {},
         )
-        value = sdr_song(scores)
+        value = scores.sdr_song
         assert value == pytest.approx(5.3725, abs=1e-12)
         assert f"{value:.2f}" == "5.37"
 
     def test_three_stem_mean(self):
-        scores = StemScores(
-            {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}
+        scores = SongScore(
+            "s", {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}, {}
         )
-        assert sdr_song(scores) == pytest.approx(6.0)
+        assert scores.sdr_song == pytest.approx(6.0)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            StemScores({})
+            SongScore("s", {}, {})
 
     def test_non_stem_key_rejected(self):
         with pytest.raises(InvalidInputError, match="keys must be StemKind members"):
-            StemScores({"bass": 1.0})
+            SongScore("s", {"bass": 1.0}, {})
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -556,4 +554,8 @@ class TestSdrSong:
     def test_permutation_invariant_mean(self, values, order):
         mapping = dict(zip(order, values))
         expected = math.fsum(mapping[k] for k in StemKind) / 4
-        assert sdr_song(StemScores(mapping)) == pytest.approx(expected, abs=1e-12)
+        score = SongScore("s", mapping, {})
+        assert score.sdr_song == pytest.approx(expected, abs=1e-12)
+        # summed in StemKind order, whatever the order of the mapping
+        assert list(score.per_stem) == list(StemKind)
+        assert score.sdr_song == sum(mapping[k] for k in StemKind) / 4

@@ -75,7 +75,7 @@ class TestBitIdentity:
         expected = global_sdr(reference, estimate).hex()
         for estimates in (from_paths, from_waveforms):
             score = score_song(entry, estimates)
-            assert [score.per_stem.values[kind].hex() for kind in StemKind] == [expected] * 4
+            assert [score.per_stem[kind].hex() for kind in StemKind] == [expected] * 4
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_trailing_chunk_after_data(self, tmp_path, codec):
@@ -83,7 +83,7 @@ class TestBitIdentity:
         ref_path, est_path = _pair(tmp_path, codec, 1, _ENERGY_BLOCK + 1, trailer=LIST_CHUNK)
         expected = global_sdr(read_wav(ref_path), read_wav(est_path)).hex()
         score = score_song(_entry(ref_path), {kind: est_path for kind in StemKind})
-        assert score.per_stem.values[StemKind.VOCALS].hex() == expected
+        assert score.per_stem[StemKind.VOCALS].hex() == expected
 
     def test_mixed_sources_and_silent_stem(self, tmp_path):
         ref_path, est_path = _pair(tmp_path, "pcm16", 2, 2 * _ENERGY_BLOCK + 7)
@@ -100,9 +100,9 @@ class TestBitIdentity:
                      StemKind.OTHER: estimate, StemKind.VOCALS: est_path}
         score = score_song(entry, estimates)
         expected = global_sdr(read_wav(ref_path), estimate)
-        assert score.per_stem.values[StemKind.BASS] == global_sdr(read_wav(silent), estimate)
+        assert score.per_stem[StemKind.BASS] == global_sdr(read_wav(silent), estimate)
         for kind in (StemKind.DRUMS, StemKind.OTHER, StemKind.VOCALS):
-            assert score.per_stem.values[kind].hex() == expected.hex()
+            assert score.per_stem[kind].hex() == expected.hex()
         assert score.excluded_stems == {StemKind.BASS: "silent reference"}
         assert score.sdr_song == (expected + expected + expected) / 3
 

@@ -248,8 +248,7 @@ def test_framewise_any_frame_and_hop(base, frame_s, hop_s):
             values.append(_reference_value(_BASES[base], r, e))
     for aggregation, expected in ((Aggregation.MEAN, math.fsum(values) / len(values)),
                                   (Aggregation.MEDIAN, float(np.median(values)))):
-        cfg = MetricConfig(frame_length=frame_s, hop_length=hop_s, aggregation=aggregation)
-        got = framewise(base, Waveform(ref, RATE), Waveform(est, RATE), cfg)
+        got = framewise(base, Waveform(ref, RATE), Waveform(est, RATE), frame_s, hop_s, aggregation)
         if _BASES[base] in ("mae", "mse"):
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
         else:
@@ -531,9 +530,8 @@ def _residual_bits(channels, frames, rate, frame_s, hop_s):
     reference, estimate = Waveform(ref, rate), Waveform(est, rate)
     bits = {str(metric_id): value.hex() for metric_id, value in metric_suite(reference, estimate).items()}
     for aggregation in Aggregation:
-        cfg = MetricConfig(frame_length=frame_s, hop_length=hop_s, aggregation=aggregation)
         bits[f"framewise_si_sdr_{aggregation.value}"] = framewise(
-            MetricId.GLOBAL_SI_SDR, reference, estimate, cfg
+            MetricId.GLOBAL_SI_SDR, reference, estimate, frame_s, hop_s, aggregation
         ).hex()
     return bits
 
