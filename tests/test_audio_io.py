@@ -505,7 +505,7 @@ class TestManifest:
 
     @pytest.mark.parametrize(
         "song_id",
-        ["", ".", "..", "a/b", "/root/scratch/escaped", "../outside", "a\\b", "a\0b", "a,b", 'a"b',
+        ["", ".", "..", "a/b", "/escaped", "../outside", "a\\b", "a\0b", "a,b", 'a"b',
          'a,"b"', "a\rb", "a\nb"],
         ids=["empty", "dot", "dot-dot", "slash", "absolute", "parent", "backslash", "nul", "comma",
              "quote", "csv-cell", "cr", "lf"],
