@@ -147,22 +147,15 @@ class CorrelationMatrix:
                 value = self.values.get((first, second))
                 if value is not None and value < threshold:
                     flagged.append((value, first, second))
-        for value, first, second in sorted(flagged):
+        # by value alone: a stable sort keeps column order for ties
+        for value, first, second in sorted(flagged, key=lambda pair: pair[0]):
             lines.append(f"below threshold: {first.value} vs {second.value} = {value:.6g}")
         if not flagged:
             lines.append("no defined pair falls below the threshold")
-        undefined = sorted(
-            {tuple(sorted((a.value, b.value))) for (a, b) in self.missing if a != b}
-        )
-        for a, b in undefined:
-            lines.append(f"undefined: {a} vs {b} ({self.missing_reason(a, b)})")
+        undefined = {tuple(sorted((a.value, b.value))): reason for (a, b), reason in self.missing.items() if a != b}
+        for (a, b), reason in sorted(undefined.items()):
+            lines.append(f"undefined: {a} vs {b} ({reason})")
         return "\n".join(lines) + "\n"
-
-    def missing_reason(self, first_name: str, second_name: str) -> str:
-        for (a, b), reason in self.missing.items():
-            if {a.value, b.value} == {first_name, second_name}:
-                return reason
-        return "unknown"
 
 
 def correlation_matrix(table: MetricTable, kind: CorrelationKind) -> CorrelationMatrix:

@@ -5,9 +5,9 @@ PCM samples are normalized by 2**(bits - 1), so PCM 16-bit +32767 maps to
 32767/32768. Files are always written as IEEE float 32-bit, which makes the
 write/read round trip bit-exact for float32-valued data.
 
-read_wav decodes a whole file. score and validate read songs through
-read_wav_header and read_wav_blocks instead: one block at a time into reused
-buffers, same parser, decoder and checks, bit-identical samples.
+read_wav decodes a whole file as one block of read_wav_blocks. score and
+validate read songs through read_wav_header and read_wav_blocks: one block
+at a time into reused buffers, bit-identical samples.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _read_frames(handle, header: WavHeader, raw: np.ndarray, out: np.ndarray) ->
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file into a Waveform.
+    """Read a RIFF/WAVE file into a Waveform: read_wav_blocks' one-block case.
 
     Supports PCM 16-bit, PCM 24-bit, and IEEE float 32-bit, any channel
     count >= 1, under the plain format tag or WAVE_FORMAT_EXTENSIBLE with
@@ -242,13 +242,10 @@ def read_wav(path) -> Waveform:
     Raises AudioFormatError for malformed headers, UnsupportedCodecError for
     other encodings, CorruptFileError for truncated data or NaN/Inf floats.
     """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        header = _parse_header(handle, path)
-        samples = np.empty((header.num_channels, header.num_frames))
-        raw = np.empty(_PAD + samples.size * header.sample_width, dtype=np.uint8)
-        handle.seek(header.data_offset)
-        _read_frames(handle, header, raw, samples)
+    header = read_wav_header(path)
+    # a zero-frame file yields no block
+    blocks = list(read_wav_blocks(header, max(header.num_frames, 1)))
+    samples = blocks[0] if blocks else np.empty((header.num_channels, 0))
     return Waveform(samples, header.sample_rate)
 
 
@@ -280,6 +277,13 @@ def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
         return read_wav_blocks(source, block_frames)
     samples = source.samples
     return (samples[:, start : start + block_frames] for start in range(0, samples.shape[1], block_frames))
+
+
+def remove_unfinished_writes(paths) -> None:
+    """Remove the <path>.partial file write_wav_blocks writes for each final path, if there is one."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # or a file has its directory's name
+            Path(f"{path}.partial").unlink()
 
 
 def write_wav_blocks(paths, num_channels: int, num_frames: int, sample_rate: int, blocks) -> None:
@@ -319,8 +323,9 @@ def write_wav_blocks(paths, num_channels: int, num_frames: int, sample_rate: int
         for path, final in zip(partial, paths):
             path.replace(final)
     except BaseException:
-        for path in [*partial, *map(Path, paths)]:
-            path.unlink(missing_ok=True)
+        remove_unfinished_writes(paths)
+        for path in paths:
+            Path(path).unlink(missing_ok=True)
         raise
 
 

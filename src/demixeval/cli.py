@@ -16,24 +16,18 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import StemKind, load_manifest, read_wav_header, validate_song_audio, write_wav_blocks
+from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, load_manifest, read_wav_header, remove_unfinished_writes,
+                       validate_song_audio, write_wav_blocks)
 from .errors import DemixEvalError, InvalidInputError
-from .metrics import MetricConfig, MetricId, metric_suite
-from .harness import Leaderboard
+from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
+
+_ALL_ROUNDS = ",".join(map(str, harness.ROUNDS))  # --rounds' default
 
 
 def _print_config(command: str, pairs) -> None:
     print(f"# command = {command}")
     for key, value in pairs:
         print(f"# {key} = {value}")
-
-
-def _parse_rounds(text: str) -> set:
-    try:
-        rounds = {int(part) for part in text.split(",") if part.strip()}
-    except ValueError:
-        raise InvalidInputError(f"cannot parse rounds {text!r}, expected e.g. 1,2,3") from None
-    return rounds
 
 
 def cmd_validate(args) -> int:
@@ -59,11 +53,14 @@ def cmd_validate(args) -> int:
 
 def cmd_score(args) -> int:
     manifest = load_manifest(args.manifest)
-    rounds = _parse_rounds(args.rounds)
+    try:
+        rounds = {int(part) for part in args.rounds.split(",") if part.strip()}
+    except ValueError:
+        raise InvalidInputError(f"cannot parse rounds {args.rounds!r}, expected e.g. {_ALL_ROUNDS}") from None
     cfg = MetricConfig(epsilon=args.epsilon)
     submission = harness.SubmissionDescriptor(
         system_id=args.system,
-        leaderboard=Leaderboard(args.leaderboard),
+        leaderboard=harness.Leaderboard(args.leaderboard),
         training_data_declaration=args.training_data,
         estimates_root=Path(args.estimates),
     )
@@ -114,15 +111,18 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _oracle_paths(out_root, song_id) -> list:
+    return [Path(out_root) / song_id / f"{stem.value}.wav" for stem in StemKind]
+
+
 def _oracle_task(task):
     entry, kind, cfg, out_root = task
     mixture = read_wav_header(entry.mixture_path)
     stem_paths = {} if kind == "baseline" else entry.stem_paths
     references = {stem: read_wav_header(path) for stem, path in stem_paths.items()}
     blocks = oracle.separate(kind, mixture, references, cfg)  # checks every header first
-    song_dir = Path(out_root) / entry.song_id
-    song_dir.mkdir(parents=True, exist_ok=True)
-    paths = [song_dir / f"{stem.value}.wav" for stem in StemKind]
+    paths = _oracle_paths(out_root, entry.song_id)
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
     write_wav_blocks(paths, mixture.num_channels, mixture.num_frames, mixture.sample_rate, blocks)
     return entry.song_id
 
@@ -148,8 +148,7 @@ def cmd_oracle(args) -> int:
         # a worker the pool stopped mid-song had no chance to remove its
         # files; by now no writer is alive
         for entry in manifest.songs:
-            for partial in Path(args.out, entry.song_id).glob("*.wav.partial"):
-                partial.unlink()
+            remove_unfinished_writes(_oracle_paths(args.out, entry.song_id))
     for song_id in song_ids:
         print(f"wrote {song_id}")
     return 0
@@ -166,7 +165,7 @@ def cmd_suite(args) -> int:
             ("reference", args.reference),
             ("estimate", args.estimate),
             ("epsilon", format(args.epsilon, "g")),
-            ("framewise_frames", "1s/1s (30s/15s for bsseval_v3_framewise)"),
+            ("framewise_frames", FRAMEWISE_FRAMES),
         ],
     )
     print("metric,value")
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("validate", help="check stem/mixture consistency per song")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-3,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_MIX_TOLERANCE,
                    help="max allowed |mixture - sum(stems)| (default 1e-3)")
     p.set_defaults(func=cmd_validate)
 
@@ -238,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaderboard", required=True, choices=["A", "B"])
     p.add_argument("--training-data", default="MUSDB18-HQ",
                    help="training data declaration (leaderboard A allows only MUSDB18/MUSDB18-HQ)")
-    p.add_argument("--rounds", default="1,2,3", help="comma-separated rounds to score")
+    p.add_argument("--rounds", default=_ALL_ROUNDS, help="comma-separated rounds to score")
     p.add_argument("--seed", type=int, default=0, help="round-plan seed")
-    p.add_argument("--epsilon", type=float, default=1e-7)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", default=None,
                    help="path prefix; writes <out>.csv and <out>.json score files")
@@ -256,21 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", required=True, choices=["swf", "mwf", "baseline"])
     p.add_argument("--out", required=True, help="output root, one directory per song")
-    p.add_argument("--fft", type=int, default=4096)
-    p.add_argument("--hop", type=int, default=1024)
+    p.add_argument("--fft", type=int, default=oracle.OracleConfig.fft_size)
+    p.add_argument("--hop", type=int, default=oracle.OracleConfig.hop)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_oracle)
 
     p = subparsers.add_parser("suite", help="run the full metric family on one file pair")
     p.add_argument("--reference", required=True)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-7)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=cmd_suite)
 
     p = subparsers.add_parser("analyze", help="correlation matrix over a metric table CSV")
     p.add_argument("--table", required=True)
     p.add_argument("--kind", required=True, choices=["pearson", "spearman"])
-    p.add_argument("--threshold", type=float, default=0.9)
+    p.add_argument("--threshold", type=float, default=analysis.DEFAULT_CORRELATION_THRESHOLD)
     p.set_defaults(func=cmd_analyze)
 
     p = subparsers.add_parser("plan", help="print the round assignment for a manifest")
@@ -288,10 +287,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
+        # printed raw, a CR or LF in an argument would forge an output line
+        for name, value in vars(args).items():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, str) and ("\r" in item or "\n" in item):
+                    raise InvalidInputError(f"--{name.replace('_', '-')} must not contain CR or LF, got {item!r}")
         return args.func(args)
-    except DemixEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DemixEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

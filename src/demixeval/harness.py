@@ -44,6 +44,7 @@ class Leaderboard(Enum):
 
 
 _BOARD_A_DATASETS = {"musdb18", "musdb18-hq"}
+ROUNDS = (1, 2, 3)  # the challenge's rounds, in order
 
 
 def _check_board_a_declaration(system_id: str, declaration: str) -> None:
@@ -117,19 +118,17 @@ class LeaderboardEntry:
 
 
 def plan_rounds(manifest: DatasetManifest, seed: int) -> dict:
-    """{song_id: round} splitting the non-demo songs into three near-equal rounds 1..3.
+    """{song_id: round} splitting the non-demo songs into near-equal ROUNDS.
 
     Deterministic for a given seed; demo songs are assigned to no round.
     """
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     eligible = [song.song_id for song in manifest.eligible_songs()]
-    if len(eligible) < 3:
-        raise InvalidInputError(
-            f"need at least 3 non-demo songs to plan rounds, got {len(eligible)}"
-        )
+    if len(eligible) < len(ROUNDS):
+        raise InvalidInputError(f"need at least {len(ROUNDS)} non-demo songs to plan rounds, got {len(eligible)}")
     order = np.random.default_rng(seed).permutation(len(eligible))
-    by_position = {eligible[int(idx)]: position % 3 + 1 for position, idx in enumerate(order)}
+    by_position = {eligible[int(idx)]: ROUNDS[position % len(ROUNDS)] for position, idx in enumerate(order)}
     return {song_id: by_position[song_id] for song_id in eligible}
 
 
@@ -212,8 +211,8 @@ def evaluate_submission(
     raised together as an EvaluationError, never silently skipped.
     """
     rounds = set(rounds)
-    if not rounds or not rounds <= {1, 2, 3}:
-        raise InvalidInputError(f"rounds must be a non-empty subset of {{1, 2, 3}}, got {sorted(rounds)}")
+    if not rounds or not rounds <= set(ROUNDS):
+        raise InvalidInputError(f"rounds must be a non-empty subset of {set(ROUNDS)}, got {sorted(rounds)}")
     selected = []
     for song in manifest.songs:
         if song.is_demo:
@@ -427,7 +426,7 @@ def load_score_document(path) -> dict:
 
     The result has keys system_id, leaderboard, rounds, seed, epsilon,
     scores. A file that is not a score document raises InvalidInputError:
-    so do rounds that are not a non-empty list drawn from 1, 2 and 3, a seed
+    so do rounds that are not a non-empty list drawn from ROUNDS, a seed
     that is not a JSON integer >= 0, a repeated song_id, a score or epsilon
     that is not a finite JSON number, an excluded_song that is not a JSON
     boolean, and an id or reason that is not a JSON string. So does a
@@ -443,9 +442,9 @@ def load_score_document(path) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
     try:
-        rounds = _typed(doc.get("rounds", [1, 2, 3]), list, "rounds")
-        if not rounds or any(_typed(r, int, "a round") not in (1, 2, 3) for r in rounds):
-            raise InvalidInputError(f"rounds must be a non-empty list drawn from 1, 2, 3, got {rounds}")
+        rounds = _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")
+        if not rounds or any(_typed(r, int, "a round") not in ROUNDS for r in rounds):
+            raise InvalidInputError(f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {rounds}")
         seed = _typed(doc["seed"], int, "seed")
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")

@@ -445,6 +445,7 @@ _FRAMEWISE_SERIES = (
     (MetricId.BSSEVAL_V3_SDR, 1.0, 1.0,
      MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEAN, MetricId.BSSEVAL_V4_FRAMEWISE_SDR_MEDIAN),
 )
+FRAMEWISE_FRAMES = "1s/1s (30s/15s for bsseval_v3_framewise)"  # each series' frame/hop above, as suite prints it
 
 
 def metric_suite(reference, estimate, cfg: MetricConfig = MetricConfig()) -> dict:

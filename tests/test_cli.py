@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from demixeval.analysis import MetricTable, metric_table_to_csv
-from demixeval.audio_io import StemKind, Waveform, load_manifest, read_wav, write_wav
-from demixeval.cli import run
-from demixeval.metrics import MetricId
+from demixeval.analysis import DEFAULT_CORRELATION_THRESHOLD, MetricTable, metric_table_to_csv
+from demixeval.audio_io import DEFAULT_MIX_TOLERANCE, StemKind, Waveform, load_manifest, read_wav, write_wav
+from demixeval.cli import build_parser, run
+from demixeval.harness import ROUNDS
+from demixeval.metrics import DEFAULT_EPSILON, MetricId
+from demixeval.oracle import OracleConfig
 from demixeval.synth import make_dataset
 
 
@@ -744,3 +746,60 @@ def test_oracle_parallel_jobs_byte_identical(dataset, tmp_path, capsys):
     assert outputs["1"][0] == outputs["2"][0]
     assert len(outputs["1"][1]) == 4 * len(load_manifest(dataset).songs)
     assert outputs["1"][1] == outputs["2"][1]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--system", "sys\nsyn_000,1,2,3,4,5,6,,"), ("--training-data", "none\r# rounds = 1")],
+    ids=["system", "training-data"],
+)
+def test_score_refuses_line_breaks_in_arguments(dataset, baseline_submission, tmp_path, capsys, option, value):
+    named = {"--system": "baseline", "--training-data": "none", option: value}
+    args = ["score", "--manifest", str(dataset), "--estimates", str(baseline_submission), "--leaderboard", "B",
+            "--jobs", "1", "--out", str(tmp_path / "scores"), *(item for pair in named.items() for item in pair)]
+    assert run(args) == 1
+    _assert_one_error_line(capsys, f"error: {option} must not contain CR or LF, got {value!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rank_refuses_a_scores_path_with_a_line_break(score_document, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    forged = tmp_path / "forged\n# rounds = 1.json"
+    for name, path in (("good", good), ("forged", forged)):
+        path.write_text(json.dumps({**score_document, "system_id": name}))
+    assert run(["rank", "--scores", str(good), str(forged)]) == 1
+    _assert_one_error_line(capsys, f"error: --scores must not contain CR or LF, got {str(forged)!r}\n")
+
+
+def test_analyze_lists_tied_flagged_pairs_in_column_order(tmp_path, rng, capsys):
+    # global_sdr and global_mae hold the same values, so both correlate
+    # with global_mse to the same bits
+    path = tmp_path / "table.csv"
+    table = MetricTable(columns=(MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE, MetricId.GLOBAL_MSE))
+    for i in range(50):
+        shared, independent = rng.standard_normal(2)
+        table.add_row(("sys", f"song{i}", "bass"), {MetricId.GLOBAL_SDR: shared, MetricId.GLOBAL_MAE: shared,
+                                                   MetricId.GLOBAL_MSE: independent})
+    path.write_text(metric_table_to_csv(table))
+    assert run(["analyze", "--table", str(path), "--kind", "pearson"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    flagged = [line for line in captured.out.splitlines() if line.startswith("below threshold: ")]
+    assert [line.split(" = ")[0] for line in flagged] == [
+        "below threshold: global_sdr vs global_mse",
+        "below threshold: global_mae vs global_mse",
+    ]
+    assert flagged[0].split(" = ")[1] == flagged[1].split(" = ")[1]
+
+
+def test_parser_defaults_are_their_layers_constants():
+    parser = build_parser()
+    score = parser.parse_args(["score", "--manifest", "m", "--estimates", "e", "--system", "s", "--leaderboard", "B"])
+    oracle = parser.parse_args(["oracle", "--manifest", "m", "--kind", "swf", "--out", "o"])
+    assert parser.parse_args(["validate", "--manifest", "m"]).tolerance == DEFAULT_MIX_TOLERANCE
+    assert score.epsilon == DEFAULT_EPSILON
+    assert parser.parse_args(["suite", "--reference", "r", "--estimate", "e"]).epsilon == DEFAULT_EPSILON
+    assert [int(r) for r in score.rounds.split(",")] == list(ROUNDS)
+    assert (oracle.fft, oracle.hop) == (OracleConfig().fft_size, OracleConfig().hop)
+    threshold = parser.parse_args(["analyze", "--table", "t", "--kind", "pearson"]).threshold
+    assert threshold == DEFAULT_CORRELATION_THRESHOLD

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from demixeval import oracle
-from demixeval.audio_io import SongEntry, StemKind, Waveform, load_manifest, read_wav, write_wav, write_wav_blocks
+from demixeval.audio_io import (SongEntry, StemKind, Waveform, load_manifest, read_wav, remove_unfinished_writes,
+                                 write_wav, write_wav_blocks)
 from demixeval.cli import _oracle_task, run
 from demixeval.errors import InvalidInputError
 from demixeval.oracle import OracleConfig, ideal_mwf, ideal_swf
@@ -264,6 +265,16 @@ def test_cli_stopped_workers_leave_no_partial_file(tmp_path, capsys):
     frames = {entry.song_id: read_wav(entry.mixture_path).num_frames for entry in (songs[0], songs[2])}
     for path in out.rglob("*.wav"):  # no truncated file
         assert read_wav(path).num_frames == frames[path.parent.name]
+
+
+
+def test_remove_unfinished_writes_touches_only_the_given_files(tmp_path):
+    kept = [tmp_path / "a.wav", tmp_path / "c.wav.partial"]
+    for path in [*kept, tmp_path / "a.wav.partial"]:
+        path.write_bytes(b"")
+    # b.wav has no partial file, and a.wav is a file, not a directory
+    remove_unfinished_writes([tmp_path / "a.wav", tmp_path / "b.wav", tmp_path / "a.wav" / "c.wav"])
+    assert sorted(tmp_path.iterdir()) == kept
 
 
 class TestBlockWriter:
