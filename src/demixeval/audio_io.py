@@ -338,6 +338,13 @@ def write_wav(waveform: Waveform, path) -> None:
     write_wav_blocks([path], waveform.num_channels, waveform.num_frames, waveform.sample_rate, [waveform.samples[None]])
 
 
+def check_song_id(song_id: str, where: str = "") -> None:
+    """ManifestError, its message led by where, unless song_id can name a directory and a CSV cell."""
+    if not isinstance(song_id, str) or song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
+        raise ManifestError(f"{where}song_id {song_id!r} must be a non-empty name, "
+                            "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
+
+
 @dataclass(frozen=True)
 class SongEntry:
     """Per-song manifest record: stem locations plus scoring annotations."""
@@ -353,8 +360,7 @@ class SongEntry:
     silent_stems: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.song_id:
-            raise ManifestError("song_id must be non-empty")
+        check_song_id(self.song_id)
         paths = {k: Path(v) for k, v in dict(self.stem_paths).items()}
         missing = [k.value for k in StemKind if k not in paths]
         if missing:
@@ -437,12 +443,7 @@ def load_manifest(path) -> DatasetManifest:
         if "song_id" not in record:
             raise ManifestError(f"{path}: song record {index} has no song_id")
         song_id = _typed(record["song_id"], str, f"{path}: song record {index}: song_id")
-        # a song id names a directory under --out and --estimates and a CSV cell
-        if song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
-            raise ManifestError(
-                f"{path}: song record {index}: song_id {song_id!r} must be a non-empty name, "
-                "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF"
-            )
+        check_song_id(song_id, f"{path}: song record {index}: ")
         stems_doc = record.get("stems")
         if not isinstance(stems_doc, dict):
             raise ManifestError(f"song {song_id}: missing stems object")
@@ -479,7 +480,7 @@ def load_manifest(path) -> DatasetManifest:
 SILENCE_WARNING_FLOOR = 1e-12
 
 DEFAULT_MIX_TOLERANCE = 1e-3  # absorbs PCM quantization of independently quantized stems
-_BLOCK_FRAMES = 1 << 16  # frames per block that validate decodes from each file
+_BLOCK_FRAMES = 1 << 16  # frames per block that validate, score and suite decode from each file
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import DemixEvalError, InvalidInputError
 from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
 
 _ALL_ROUNDS = ",".join(map(str, harness.ROUNDS))  # --rounds' default
+_BOARDS = [board.value for board in harness.Leaderboard]  # --leaderboard's choices
 
 
 def _print_config(command: str, pairs) -> None:
@@ -211,9 +212,8 @@ def cmd_plan(args) -> int:
         ],
     )
     print("song_id,round")
-    for entry in manifest.songs:
-        if not entry.is_demo:
-            print(f"{entry.song_id},{plan[entry.song_id]}")
+    for song_id, round_number in plan.items():  # manifest order
+        print(f"{song_id},{round_number}")
     return 0
 
 
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--estimates", required=True, help="root of <song_id>/<stem>.wav estimates")
     p.add_argument("--system", required=True)
-    p.add_argument("--leaderboard", required=True, choices=["A", "B"])
+    p.add_argument("--leaderboard", required=True, choices=_BOARDS)
     p.add_argument("--training-data", default="MUSDB18-HQ",
                    help="training data declaration (leaderboard A allows only MUSDB18/MUSDB18-HQ)")
     p.add_argument("--rounds", default=_ALL_ROUNDS, help="comma-separated rounds to score")
@@ -247,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("rank", help="rank systems from score JSON files")
     p.add_argument("--scores", required=True, nargs="+", help="score .json files from `score --out`")
-    p.add_argument("--leaderboard", choices=["A", "B"], default=None)
+    p.add_argument("--leaderboard", choices=_BOARDS, default=None)
     p.add_argument("--out", default=None, help="also write the leaderboard CSV here")
     p.set_defaults(func=cmd_rank)
 
     p = subparsers.add_parser("oracle", help="write oracle or baseline estimates for a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", required=True, choices=["swf", "mwf", "baseline"])
+    p.add_argument("--kind", required=True, choices=oracle.KINDS)
     p.add_argument("--out", required=True, help="output root, one directory per song")
     p.add_argument("--fft", type=int, default=oracle.OracleConfig.fft_size)
     p.add_argument("--hop", type=int, default=oracle.OracleConfig.hop)
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("analyze", help="correlation matrix over a metric table CSV")
     p.add_argument("--table", required=True)
-    p.add_argument("--kind", required=True, choices=["pearson", "spearman"])
+    p.add_argument("--kind", required=True, choices=[kind.value for kind in analysis.CorrelationKind])
     p.add_argument("--threshold", type=float, default=analysis.DEFAULT_CORRELATION_THRESHOLD)
     p.set_defaults(func=cmd_analyze)
 

@@ -79,7 +79,7 @@ class SubmissionDescriptor:
 class SongScore:
     """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
 
-    per_stem is a non-empty {StemKind: float}, kept in StemKind order.
+    per_stem is a non-empty {StemKind: float}, kept in StemKind order; some stem is not excluded.
     """
 
     song_id: str
@@ -96,6 +96,8 @@ class SongScore:
             raise InvalidInputError("per_stem keys must be StemKind members")
         object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind if k in per_stem})
         object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
+        if all(k in self.excluded_stems for k in per_stem):  # sdr_song would divide by zero
+            raise InvalidInputError("every stem is excluded")
 
     @property
     def sdr_song(self) -> float:
@@ -214,9 +216,7 @@ def evaluate_submission(
     if not rounds or not rounds <= set(ROUNDS):
         raise InvalidInputError(f"rounds must be a non-empty subset of {set(ROUNDS)}, got {sorted(rounds)}")
     selected = []
-    for song in manifest.songs:
-        if song.is_demo:
-            continue
+    for song in manifest.eligible_songs():
         assigned = plan.get(song.song_id)
         if assigned is None:
             raise InvalidInputError(f"song {song.song_id} is not covered by the round plan")
@@ -424,18 +424,18 @@ def _finite(value, what: str) -> float:
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
-    The result has keys system_id, leaderboard, rounds, seed, epsilon,
-    scores. A file that is not a score document raises InvalidInputError:
-    so do rounds that are not a non-empty list drawn from ROUNDS, a seed
-    that is not a JSON integer >= 0, a repeated song_id, a score or epsilon
-    that is not a finite JSON number, an excluded_song that is not a JSON
+    The result has keys system_id, leaderboard, rounds, seed, epsilon, scores. A
+    file that is not a score document raises InvalidInputError: so do rounds
+    that are not a non-empty list drawn from ROUNDS, a seed that is not a JSON
+    integer >= 0, a repeated song_id, a score that is not a finite JSON number,
+    an epsilon that MetricConfig refuses, an excluded_song that is not a JSON
     boolean, and an id or reason that is not a JSON string. So does a
     leaderboard A document whose training_data_declaration is missing, not a
-    JSON string, or names anything but MUSDB18 or MUSDB18-HQ, and a song
-    record without a value for every stem, with every stem excluded, or
-    whose sdr_song is not the mean of its kept stems, bit for bit. Each
-    message starts with the path; a field of the wrong JSON type reads
-    "malformed score document (...)", a broken rule gives the rule alone.
+    JSON string, or names anything but MUSDB18 or MUSDB18-HQ, and a song record
+    without a value for every stem, with every stem excluded, or whose sdr_song
+    is not the mean of its kept stems, bit for bit. Each message starts with the
+    path; a field of the wrong JSON type reads "malformed score document (...)",
+    a broken rule gives the rule alone.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -479,7 +479,7 @@ def load_score_document(path) -> dict:
             "leaderboard": Leaderboard(doc["leaderboard"]),
             "rounds": frozenset(rounds),
             "seed": seed,
-            "epsilon": _finite(doc["epsilon"], "epsilon"),
+            "epsilon": MetricConfig(float(_typed(doc["epsilon"], float, "epsilon"))).epsilon,
         }
         if document["leaderboard"] is Leaderboard.A:  # board B takes any declaration, or none
             declaration = _typed(doc["training_data_declaration"], str, "training_data_declaration")
@@ -493,15 +493,15 @@ def load_score_document(path) -> dict:
     # after every type check, so a mistyped document is refused for its type first
     document["scores"] = []
     for mean, fields in records:
-        song = f"{path}: song {fields['song_id']}"
-        missing = [kind.value for kind in StemKind if kind not in fields["per_stem"]]
-        if missing:
-            raise InvalidInputError(f"{song}: no value for {', '.join(missing)}")
-        if len(fields["excluded_stems"]) == len(StemKind):
-            raise InvalidInputError(f"{song}: every stem is excluded")
-        score = SongScore(**fields)
-        if mean != score.sdr_song:
-            raise InvalidInputError(f"{song}: sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
+        try:
+            missing = [kind.value for kind in StemKind if kind not in fields["per_stem"]]
+            if missing:
+                raise InvalidInputError(f"no value for {', '.join(missing)}")
+            score = SongScore(**fields)  # refuses a record with no kept stem
+            if mean != score.sdr_song:
+                raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: song {fields['song_id']}: {exc}") from None
         document["scores"].append(score)
     return document
 

@@ -46,15 +46,13 @@ from enum import Enum
 
 import numpy as np
 
-from .audio_io import Waveform, sample_blocks
+from .audio_io import _BLOCK_FRAMES as _ENERGY_BLOCK, Waveform, sample_blocks
 from .errors import InvalidInputError, UndefinedMetricError
 
 DB_CLAMP = 120.0  # stand-in for +-infinity; far outside any realistic score
 
 DEFAULT_EPSILON = 1e-7
 DEFAULT_ENERGY_FLOOR = 1e-12
-
-_ENERGY_BLOCK = 1 << 16  # samples per block of the SDR energy reduction
 
 
 class Aggregation(Enum):

@@ -217,6 +217,7 @@ def _mwf_bins(spec: np.ndarray, cfg: OracleConfig) -> np.ndarray:
 # frames were fastest, 64 about 20 % and 256 about 70 % slower; 16 keeps the
 # blocks longer at small FFT sizes. A chunk's spectra then stay a few MB.
 _CHUNK_FRAMES = 16
+KINDS = ("swf", "mwf", "baseline")  # what separate() streams
 
 
 def separate(kind: str, mixture, references: Mapping, cfg: OracleConfig = OracleConfig()) -> Iterator[np.ndarray]:
@@ -227,11 +228,11 @@ def separate(kind: str, mixture, references: Mapping, cfg: OracleConfig = Oracle
     check runs before this returns. A block is valid until the next is drawn; NaN or Inf in float
     data raises CorruptFileError at the block that holds it.
     """
+    if kind not in KINDS:
+        raise InvalidInputError(f"unknown oracle kind {kind!r}")
     if kind == "baseline":
         blocks = sample_blocks(mixture, _CHUNK_FRAMES * cfg.hop)
         return (np.broadcast_to(block, (len(StemKind),) + block.shape) for block in blocks)
-    if kind not in ("swf", "mwf"):
-        raise InvalidInputError(f"unknown oracle kind {kind!r}")
     _check_oracle_inputs(mixture, references, cfg, multichannel=kind == "mwf")
     return _stream(kind == "mwf", mixture, references, cfg)
 

@@ -516,6 +516,12 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"manifest.json: song record 1: song_id .* must be a non-empty name"):
             load_manifest(_write_manifest(tmp_path, songs))
 
+    @pytest.mark.parametrize("song_id", ["", "..", "a/b", "a,b", 7], ids=["empty", "dot-dot", "slash", "comma", "int"])
+    def test_hand_built_entry_refuses_unsafe_song_id(self, song_id):
+        # the manifest's rule: a hand-built entry must not lead a reader outside --estimates
+        with pytest.raises(ManifestError, match=r"^song_id .* must be a non-empty name"):
+            SongEntry(song_id, {k: f"{k.value}.wav" for k in StemKind}, "mix.wav")
+
     @pytest.mark.parametrize("song_id", ["a.b", "...", ".hidden", "song 1", "caf\u00e9"])
     def test_plain_song_id_accepted(self, tmp_path, song_id):
         manifest = load_manifest(_write_manifest(tmp_path, [_song_record(song_id)]))

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from demixeval.analysis import DEFAULT_CORRELATION_THRESHOLD, MetricTable, metric_table_to_csv
+from demixeval.analysis import DEFAULT_CORRELATION_THRESHOLD, CorrelationKind, MetricTable, metric_table_to_csv
 from demixeval.audio_io import DEFAULT_MIX_TOLERANCE, StemKind, Waveform, load_manifest, read_wav, write_wav
 from demixeval.cli import build_parser, run
-from demixeval.harness import ROUNDS
+from demixeval.harness import ROUNDS, Leaderboard
 from demixeval.metrics import DEFAULT_EPSILON, MetricId
-from demixeval.oracle import OracleConfig
+from demixeval.oracle import KINDS, OracleConfig
 from demixeval.synth import make_dataset
 
 
@@ -651,8 +651,9 @@ def test_rank_applies_board_a_training_data_rule(score_document, tmp_path, capsy
         (lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
          "system baseline: leaderboard A requires a training data declaration naming only MUSDB18 or "
          "MUSDB18-HQ, got 'private corpus'"),
+        (_set("epsilon", value=0.0), "epsilon must be finite and > 0"),
     ],
-    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus"],
+    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero"],
 )
 def test_rank_rule_violation_is_not_called_malformed(score_document, tmp_path, capsys, edit, message):
     doc = json.loads(json.dumps(score_document))
@@ -803,3 +804,19 @@ def test_parser_defaults_are_their_layers_constants():
     assert (oracle.fft, oracle.hop) == (OracleConfig().fft_size, OracleConfig().hop)
     threshold = parser.parse_args(["analyze", "--table", "t", "--kind", "pearson"]).threshold
     assert threshold == DEFAULT_CORRELATION_THRESHOLD
+
+
+def test_parser_choices_are_their_owners():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        (command, action.dest): list(action.choices)
+        for command, sub in subcommands.items() for action in sub._actions if action.choices is not None
+    }
+    boards = [board.value for board in Leaderboard]
+    assert choices == {
+        ("score", "leaderboard"): boards,
+        ("rank", "leaderboard"): boards,
+        ("oracle", "kind"): list(KINDS),
+        ("analyze", "kind"): [kind.value for kind in CorrelationKind],
+    }
+    assert list(KINDS) == ["swf", "mwf", "baseline"]  # the order --help lists

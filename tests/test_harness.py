@@ -120,6 +120,17 @@ class TestScoreSong:
         score = SongScore("s", {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}, {})
         assert score.sdr_song == 6.0
 
+    @pytest.mark.parametrize(
+        "per_stem, excluded",
+        [({StemKind.BASS: 1.0}, {StemKind.BASS: "r"}),
+         ({k: 1.0 for k in StemKind}, {k: "silent reference" for k in StemKind})],
+        ids=["one-stem", "four-stems"],
+    )
+    def test_record_without_a_kept_stem_refused(self, per_stem, excluded):
+        # its mean would divide by zero
+        with pytest.raises(InvalidInputError, match="^every stem is excluded$"):
+            SongScore("s", per_stem, excluded)
+
     def test_perfect_estimates(self, small_dataset):
         entry = small_dataset.songs[0]
         estimates = {kind: read_wav(entry.stem_paths[kind]) for kind in StemKind}
@@ -613,8 +624,10 @@ class TestSerialization:
             (lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
              "system sys: leaderboard A requires a training data declaration naming only MUSDB18 or "
              "MUSDB18-HQ, got 'private corpus'"),
+            (lambda doc: doc.update(epsilon=0.0), "epsilon must be finite and > 0"),
+            (lambda doc: doc.update(epsilon=-1.0), "epsilon must be finite and > 0"),
         ],
-        ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus"],
+        ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "epsilon-negative"],
     )
     def test_document_rule_violation_keeps_its_message(self, tmp_path, edit, message):
         doc = json.loads(self._document(tmp_path).read_text())
