@@ -65,7 +65,7 @@ def cmd_score(args) -> int:
         training_data_declaration=args.training_data,
         estimates_root=Path(args.estimates),
     )
-    plan = harness.plan_rounds(manifest, args.seed)
+    document = harness.evaluate_submission(submission, manifest, rounds, args.seed, cfg, jobs=args.jobs)
     _print_config(
         "score",
         [
@@ -74,22 +74,20 @@ def cmd_score(args) -> int:
             ("system", args.system),
             ("leaderboard", args.leaderboard),
             ("training_data", args.training_data),
-            ("rounds", ",".join(str(r) for r in sorted(rounds))),
+            ("rounds", ",".join(str(r) for r in sorted(document["rounds"]))),
             ("seed", args.seed),
             ("epsilon", format(args.epsilon, "g")),
             ("jobs", args.jobs),
             ("out", args.out if args.out else ""),
         ],
     )
-    scores = harness.evaluate_submission(submission, manifest, plan, rounds, cfg, jobs=args.jobs)
-    table = harness.scores_to_csv(args.system, scores)
+    table = harness.scores_to_csv(document)
     print(table, end="")
     if args.out:
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         Path(f"{prefix}.csv").write_text(table)
-        document = harness.scores_to_document(submission, scores, rounds, args.seed, cfg)
-        Path(f"{prefix}.json").write_text(json.dumps(document, indent=2) + "\n")
+        Path(f"{prefix}.json").write_text(json.dumps(harness.scores_to_document(document), indent=2) + "\n")
     return 0
 
 
@@ -202,7 +200,7 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     manifest = load_manifest(args.manifest)
     plan = harness.plan_rounds(manifest, args.seed)
-    demo_ids = [entry.song_id for entry in manifest.songs if entry.is_demo]
+    demo_ids = [entry.song_id for entry in manifest.songs if entry.song_id not in plan]
     _print_config(
         "plan",
         [

@@ -47,8 +47,13 @@ _BOARD_A_DATASETS = {"musdb18", "musdb18-hq"}
 ROUNDS = (1, 2, 3)  # the challenge's rounds, in order
 
 
-def _check_board_a_declaration(system_id: str, declaration: str) -> None:
-    """Leaderboard A's rule: the training data declaration names only MUSDB18 or MUSDB18-HQ."""
+def _check_entrant(system_id: str, leaderboard: Leaderboard, declaration: str) -> None:
+    """A system's rules, in a submission or a score document: a non-empty system_id and,
+    on leaderboard A, a training data declaration naming only MUSDB18 or MUSDB18-HQ."""
+    if not system_id:
+        raise InvalidInputError("system_id must be non-empty")
+    if leaderboard is not Leaderboard.A:
+        return
     parts = [p.strip() for p in re.split(r"[+,]", declaration)]
     parts = [p for p in parts if p]
     if not parts or any(p.lower() not in _BOARD_A_DATASETS for p in parts):
@@ -68,10 +73,7 @@ class SubmissionDescriptor:
     estimates_root: Path
 
     def __post_init__(self) -> None:
-        if not self.system_id:
-            raise InvalidInputError("system_id must be non-empty")
-        if self.leaderboard is Leaderboard.A:
-            _check_board_a_declaration(self.system_id, self.training_data_declaration)
+        _check_entrant(self.system_id, self.leaderboard, self.training_data_declaration)
         object.__setattr__(self, "estimates_root", Path(self.estimates_root))
 
 
@@ -92,8 +94,8 @@ class SongScore:
         per_stem = {k: float(v) for k, v in self.per_stem.items()}
         if not per_stem:
             raise InvalidInputError("per_stem needs at least one value")
-        if any(not isinstance(k, StemKind) for k in per_stem):
-            raise InvalidInputError("per_stem keys must be StemKind members")
+        if any(not isinstance(k, StemKind) for k in [*per_stem, *self.excluded_stems]):
+            raise InvalidInputError("per_stem and excluded_stems keys must be StemKind members")
         object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind if k in per_stem})
         object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
         if all(k in self.excluded_stems for k in per_stem):  # sdr_song would divide by zero
@@ -201,32 +203,27 @@ def _score_task(task):
 def evaluate_submission(
     submission: SubmissionDescriptor,
     manifest: DatasetManifest,
-    plan: Mapping[str, int],
     rounds,
+    seed: int,
     cfg: MetricConfig = MetricConfig(),
     jobs: int = 1,
-) -> list:
-    """Score every non-demo song of the selected rounds, in manifest order.
+) -> dict:
+    """Score every non-demo song that plan_rounds(manifest, seed) puts in rounds, in
+    manifest order, into the document rank takes, keyed as load_score_document's.
 
     All missing estimate files are listed up front in one
     MissingSubmissionError. Per-song scoring failures are collected and
     raised together as an EvaluationError, never silently skipped.
     """
-    rounds = set(rounds)
+    plan = plan_rounds(manifest, seed)
+    rounds = frozenset(rounds)
     if not rounds or not rounds <= set(ROUNDS):
         raise InvalidInputError(f"rounds must be a non-empty subset of {set(ROUNDS)}, got {sorted(rounds)}")
-    selected = []
-    for song in manifest.eligible_songs():
-        assigned = plan.get(song.song_id)
-        if assigned is None:
-            raise InvalidInputError(f"song {song.song_id} is not covered by the round plan")
-        if assigned in rounds:
-            selected.append(song)
-
     root = submission.estimates_root
     tasks = [
         (song, {kind: root / song.song_id / f"{kind.value}.wav" for kind in StemKind}, cfg)
-        for song in selected
+        for song in manifest.eligible_songs()
+        if plan[song.song_id] in rounds
     ]
     gaps = [str(path) for _, estimates, _ in tasks for path in estimates.values() if not path.is_file()]
     if gaps:
@@ -241,16 +238,24 @@ def evaluate_submission(
             f"submission {submission.system_id}: {len(failures)} song(s) failed:\n"
             + "\n".join(f"{song_id}: {error}" for song_id, error in failures)
         )
-    return [score for _, score, _ in outcomes]
+    return {
+        "system_id": submission.system_id,
+        "leaderboard": submission.leaderboard,
+        "training_data_declaration": submission.training_data_declaration,
+        "rounds": rounds,
+        "seed": seed,
+        "epsilon": cfg.epsilon,
+        "scores": [score for _, score, _ in outcomes],
+    }
 
 
 def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
     """Rank the systems of score documents by mean per-song SDR.
 
-    documents are load_score_document results. They may be ranked together
-    only if they declare one leaderboard (leaderboard, when given), agree on
-    epsilon and seed, name distinct systems, cover the same non-empty set of
-    non-demo songs, and agree on rounds; otherwise InvalidInputError,
+    documents are evaluate_submission or load_score_document results. They may
+    be ranked together only if they declare one leaderboard (leaderboard, when
+    given), agree on epsilon and seed, name distinct systems, cover the same
+    non-empty set of non-demo songs, and agree on rounds; otherwise InvalidInputError,
     checked in that order. Ties break on the Vocals, Drums, Bass, then Other
     stem means, then on system_id. Ranks are consecutive from 1.
     """
@@ -359,19 +364,19 @@ def format_value(value: float) -> str:
     return format(value, ".6g")
 
 
-def scores_to_csv(system_id: str, scores: Sequence[SongScore]) -> str:
-    """Render per-song scores as a CSV table (column order documented in README)."""
+def scores_to_csv(document: Mapping) -> str:
+    """Render a score document's per-song scores as a CSV table (column order documented in README)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCORE_CSV_COLUMNS)
-    for score in scores:
+    for score in document["scores"]:
         excluded = ";".join(
             f"{kind.value}:{reason}"
             for kind, reason in sorted(score.excluded_stems.items(), key=lambda kv: kv[0].value)
         )
         writer.writerow(
             [
-                system_id,
+                document["system_id"],
                 score.song_id,
                 *(format_value(score.per_stem[kind]) for kind in StemKind),
                 format_value(score.sdr_song),
@@ -382,21 +387,15 @@ def scores_to_csv(system_id: str, scores: Sequence[SongScore]) -> str:
     return buffer.getvalue()
 
 
-def scores_to_document(
-    submission: SubmissionDescriptor,
-    scores: Sequence[SongScore],
-    rounds,
-    seed: int,
-    cfg: MetricConfig,
-) -> dict:
-    """Structured (JSON-ready) score document, the input format of rank."""
+def scores_to_document(document: Mapping) -> dict:
+    """A score document in its JSON form, which load_score_document reads back."""
     return {
-        "system_id": submission.system_id,
-        "leaderboard": submission.leaderboard.value,
-        "training_data_declaration": submission.training_data_declaration,
-        "rounds": sorted(rounds),
-        "seed": seed,
-        "epsilon": cfg.epsilon,
+        "system_id": document["system_id"],
+        "leaderboard": document["leaderboard"].value,
+        "training_data_declaration": document["training_data_declaration"],
+        "rounds": sorted(document["rounds"]),
+        "seed": document["seed"],
+        "epsilon": document["epsilon"],
         "scores": [
             {
                 "song_id": score.song_id,
@@ -408,7 +407,7 @@ def scores_to_document(
                 "excluded_song": score.excluded_song,
                 "exclusion_reason": score.exclusion_reason,
             }
-            for score in scores
+            for score in document["scores"]
         ],
     }
 
@@ -424,18 +423,19 @@ def _finite(value, what: str) -> float:
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
-    The result has keys system_id, leaderboard, rounds, seed, epsilon, scores. A
-    file that is not a score document raises InvalidInputError: so do rounds
-    that are not a non-empty list drawn from ROUNDS, a seed that is not a JSON
-    integer >= 0, a repeated song_id, a score that is not a finite JSON number,
-    an epsilon that MetricConfig refuses, an excluded_song that is not a JSON
-    boolean, and an id or reason that is not a JSON string. So does a
-    leaderboard A document whose training_data_declaration is missing, not a
-    JSON string, or names anything but MUSDB18 or MUSDB18-HQ, and a song record
-    without a value for every stem, with every stem excluded, or whose sdr_song
-    is not the mean of its kept stems, bit for bit. Each message starts with the
-    path; a field of the wrong JSON type reads "malformed score document (...)",
-    a broken rule gives the rule alone.
+    The result is keyed as evaluate_submission's, training_data_declaration as
+    read ("" if absent) on board B. A file that is not a score document raises
+    InvalidInputError: so do rounds that are not a non-empty list drawn from
+    ROUNDS, a seed that is not a JSON integer >= 0, a repeated song_id, a score
+    that is not a finite JSON number, an epsilon that MetricConfig refuses, an
+    excluded_song that is not a JSON boolean, an id or reason that is not a JSON
+    string, and an empty system_id. So does a leaderboard A document whose
+    training_data_declaration is missing, not a JSON string, or names anything
+    but MUSDB18 or MUSDB18-HQ, and a song record without a value for every stem,
+    with every stem excluded, or whose sdr_song is not the mean of its kept
+    stems, bit for bit. Each message starts with the path; a field of the wrong
+    JSON type reads "malformed score document (...)", a broken rule gives the
+    rule alone.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -477,13 +477,14 @@ def load_score_document(path) -> dict:
         document = {
             "system_id": _typed(doc["system_id"], str, "system_id"),
             "leaderboard": Leaderboard(doc["leaderboard"]),
+            "training_data_declaration": doc.get("training_data_declaration", ""),
             "rounds": frozenset(rounds),
             "seed": seed,
             "epsilon": MetricConfig(float(_typed(doc["epsilon"], float, "epsilon"))).epsilon,
         }
         if document["leaderboard"] is Leaderboard.A:  # board B takes any declaration, or none
-            declaration = _typed(doc["training_data_declaration"], str, "training_data_declaration")
-            _check_board_a_declaration(document["system_id"], declaration)
+            document["training_data_declaration"] = _typed(doc["training_data_declaration"], str, "training_data_declaration")
+        _check_entrant(document["system_id"], document["leaderboard"], document["training_data_declaration"])
     except KeyError as exc:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None
     except InvalidInputError as exc:  # a rule, not a type: no "malformed"

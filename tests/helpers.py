@@ -170,14 +170,17 @@ def average_ranks_loop(values):
     return ranks
 
 
-def score_documents(results, leaderboard=Leaderboard.B, epsilon=1e-7, seed=0):
+def score_documents(results, leaderboard=Leaderboard.B, epsilon=1e-7, seed=0, rounds=(1, 2, 3),
+                    declaration="MUSDB18-HQ"):
     """{system_id: [SongScore, ...]} as score documents, one per system, in the
-    form load_score_document returns: the input of harness.rank."""
+    form evaluate_submission and load_score_document return: the input of
+    harness.rank, scores_to_csv and scores_to_document."""
     return [
         {
             "system_id": system_id,
             "leaderboard": leaderboard,
-            "rounds": frozenset({1, 2, 3}),
+            "training_data_declaration": declaration,
+            "rounds": frozenset(rounds),
             "seed": seed,
             "epsilon": epsilon,
             "scores": list(scores),

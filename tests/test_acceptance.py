@@ -300,11 +300,11 @@ def test_criterion_09_round_mechanics(tmp_path):
             write_wav(mixture, song_dir / f"{kind.value}.wav")
     submission = SubmissionDescriptor("base", Leaderboard.B, "none", estimates_root)
 
-    full = evaluate_submission(submission, manifest, plan, {1, 2, 3})
+    full = evaluate_submission(submission, manifest, {1, 2, 3}, 13)["scores"]
     assert len(full) == 27
     union = []
     for round_number in (1, 2, 3):
-        union.extend(evaluate_submission(submission, manifest, plan, {round_number}))
+        union.extend(evaluate_submission(submission, manifest, {round_number}, 13)["scores"])
     order = {song.song_id: i for i, song in enumerate(manifest.songs)}
     union.sort(key=lambda score: order[score.song_id])
     assert union == full

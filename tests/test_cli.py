@@ -9,7 +9,8 @@ import pytest
 from demixeval.analysis import DEFAULT_CORRELATION_THRESHOLD, CorrelationKind, MetricTable, metric_table_to_csv
 from demixeval.audio_io import DEFAULT_MIX_TOLERANCE, StemKind, Waveform, load_manifest, read_wav, write_wav
 from demixeval.cli import build_parser, run
-from demixeval.harness import ROUNDS, Leaderboard
+from demixeval.harness import (ROUNDS, Leaderboard, SubmissionDescriptor, evaluate_submission, load_score_document,
+                               rank, scores_to_document)
 from demixeval.metrics import DEFAULT_EPSILON, MetricId
 from demixeval.oracle import KINDS, OracleConfig
 from demixeval.synth import make_dataset
@@ -149,6 +150,46 @@ def test_score_missing_estimates_exits_1(dataset, tmp_path, capsys):
     )
     assert code == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_score_error_leaves_stdout_empty(dataset, baseline_submission, tmp_path, capsys):
+    estimates = tmp_path / "estimates"
+    shutil.copytree(baseline_submission, estimates)
+    missing = estimates / "syn_000" / "vocals.wav"
+    missing.unlink()
+    args = ["score", "--manifest", str(dataset), "--estimates", str(estimates), "--system", "s",
+            "--leaderboard", "B", "--jobs", "1"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: submission s is missing 1 estimate file(s):\n{missing}\n"
+
+
+@pytest.fixture(scope="module")
+def silent_bass_scores(tmp_path_factory):
+    """(manifest path, `score --out` JSON path) of the references scored as
+    their own estimates, over songs with a demo and a silent bass."""
+    root = tmp_path_factory.mktemp("cli_silent_bass")
+    manifest = make_dataset(root / "data", n_songs=5, duration=0.5, sample_rate=4000, seed=3,
+                            demo_song_indices=(4,), silent_bass_indices=(1,))
+    args = ["score", "--manifest", str(manifest), "--estimates", str(manifest.parent), "--system", "refs",
+            "--leaderboard", "A", "--seed", "2", "--jobs", "1", "--out", str(root / "refs")]
+    assert run(args) == 0
+    return manifest, root / "refs.json"
+
+
+def test_score_document_reserializes_to_its_own_bytes(silent_bass_scores):
+    _, path = silent_bass_scores
+    assert '"excluded_stems": {\n        "bass": "silent reference"' in path.read_text()
+    assert json.dumps(scores_to_document(load_score_document(path)), indent=2) + "\n" == path.read_text()
+
+
+def test_rank_takes_evaluate_submission_as_it_takes_its_score_file(silent_bass_scores):
+    manifest, path = silent_bass_scores
+    submission = SubmissionDescriptor("refs", Leaderboard.A, "MUSDB18-HQ", manifest.parent)
+    document = evaluate_submission(submission, load_manifest(manifest), ROUNDS, 2)
+    assert document == load_score_document(path)
+    assert rank([document]) == rank([load_score_document(path)])
 
 
 def test_score_board_a_rejects_bad_declaration(dataset, baseline_submission, capsys):
@@ -652,8 +693,9 @@ def test_rank_applies_board_a_training_data_rule(score_document, tmp_path, capsy
          "system baseline: leaderboard A requires a training data declaration naming only MUSDB18 or "
          "MUSDB18-HQ, got 'private corpus'"),
         (_set("epsilon", value=0.0), "epsilon must be finite and > 0"),
+        (_set("system_id", value=""), "system_id must be non-empty"),
     ],
-    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero"],
+    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "system-id-empty"],
 )
 def test_rank_rule_violation_is_not_called_malformed(score_document, tmp_path, capsys, edit, message):
     doc = json.loads(json.dumps(score_document))

@@ -131,6 +131,11 @@ class TestScoreSong:
         with pytest.raises(InvalidInputError, match="^every stem is excluded$"):
             SongScore("s", per_stem, excluded)
 
+    def test_non_stem_excluded_key_refused(self):
+        # the string key would exclude nothing, so the mean would keep the bass
+        with pytest.raises(InvalidInputError, match="keys must be StemKind members"):
+            SongScore("x", {StemKind.BASS: 1.0, StemKind.DRUMS: 3.0}, {"bass": "r"})
+
     def test_perfect_estimates(self, small_dataset):
         entry = small_dataset.songs[0]
         estimates = {kind: read_wav(entry.stem_paths[kind]) for kind in StemKind}
@@ -186,13 +191,12 @@ class TestEvaluateSubmission:
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
-        full = evaluate_submission(submission, small_dataset, plan, {1, 2, 3})
+        full = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)["scores"]
         assert len(full) == 4  # 5 songs, 1 demo
         by_round = []
         for round_number in (1, 2, 3):
             by_round.extend(
-                evaluate_submission(submission, small_dataset, plan, {round_number})
+                evaluate_submission(submission, small_dataset, {round_number}, 3)["scores"]
             )
         order = {s.song_id: i for i, s in enumerate(small_dataset.songs)}
         by_round.sort(key=lambda s: order[s.song_id])
@@ -202,8 +206,7 @@ class TestEvaluateSubmission:
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
-        scored_ids = {s.song_id for s in evaluate_submission(submission, small_dataset, plan, {1, 2, 3})}
+        scored_ids = {s.song_id for s in evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)["scores"]}
         demo_ids = {s.song_id for s in small_dataset.songs if s.is_demo}
         assert scored_ids.isdisjoint(demo_ids)
 
@@ -214,9 +217,8 @@ class TestEvaluateSubmission:
         (root / eligible[0].song_id / "vocals.wav").unlink()
         (root / eligible[1].song_id / "bass.wav").unlink()
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
         with pytest.raises(MissingSubmissionError) as excinfo:
-            evaluate_submission(submission, small_dataset, plan, {1, 2, 3})
+            evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)
         message = str(excinfo.value)
         assert eligible[0].song_id in message and eligible[1].song_id in message
 
@@ -226,26 +228,23 @@ class TestEvaluateSubmission:
         bad_song = small_dataset.eligible_songs()[0]
         (root / bad_song.song_id / "drums.wav").write_bytes(b"RIFFxxxxWAVE")
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
         with pytest.raises(EvaluationError, match=bad_song.song_id):
-            evaluate_submission(submission, small_dataset, plan, {1, 2, 3})
+            evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)
 
     def test_parallel_matches_serial(self, small_dataset, tmp_path):
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
-        serial = evaluate_submission(submission, small_dataset, plan, {1, 2, 3}, jobs=1)
-        parallel = evaluate_submission(submission, small_dataset, plan, {1, 2, 3}, jobs=2)
+        serial = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=1)
+        parallel = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=2)
         assert serial == parallel
 
     def test_bad_rounds_rejected(self, small_dataset, tmp_path):
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", tmp_path)
-        plan = plan_rounds(small_dataset, seed=3)
         with pytest.raises(InvalidInputError):
-            evaluate_submission(submission, small_dataset, plan, {4})
+            evaluate_submission(submission, small_dataset, {4}, 3)
         with pytest.raises(InvalidInputError):
-            evaluate_submission(submission, small_dataset, plan, set())
+            evaluate_submission(submission, small_dataset, set(), 3)
 
 
 class _RecordingPool:
@@ -301,8 +300,7 @@ class TestFanOut:
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        plan = plan_rounds(small_dataset, seed=3)
-        scores = evaluate_submission(submission, small_dataset, plan, {1, 2, 3}, jobs=64)
+        scores = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=64)["scores"]
         assert recording_pool == [len(scores)] == [4]
 
 
@@ -495,8 +493,9 @@ class TestSubmissionDescriptor:
         SubmissionDescriptor("sys", Leaderboard.B, "anything at all", tmp_path)
 
     def test_loaded_document_keeps_the_board_a_rule(self, tmp_path):
-        submission = SubmissionDescriptor("sys", Leaderboard.A, "MUSDB18-HQ", tmp_path)
-        document = scores_to_document(submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig())
+        document = scores_to_document(score_documents(
+            {"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.A, MetricConfig().epsilon, seed=7, rounds={1},
+            declaration="MUSDB18-HQ")[0])
         path = tmp_path / "scores.json"
         cases = [
             ("MUSDB18, musdb18-hq", None),
@@ -517,8 +516,9 @@ class TestSubmissionDescriptor:
             assert str(excinfo.value).startswith(f"{path}: ")
 
     def test_loaded_board_b_document_needs_no_declaration(self, tmp_path):
-        submission = SubmissionDescriptor("sys", Leaderboard.B, "private corpus", tmp_path)
-        document = scores_to_document(submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig())
+        document = scores_to_document(score_documents(
+            {"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, MetricConfig().epsilon, seed=7, rounds={1},
+            declaration="private corpus")[0])
         del document["training_data_declaration"]
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(document))
@@ -528,7 +528,7 @@ class TestSubmissionDescriptor:
 class TestSerialization:
     def test_csv_columns_and_values(self):
         score = _song_score("song_a", 1.25, 2.5, 3.75, 5.0, excluded=(StemKind.BASS,))
-        text = scores_to_csv("sys", [score])
+        text = scores_to_csv(score_documents({"sys": [score]})[0])
         lines = text.strip().split("\n")
         assert lines[0] == (
             "system_id,song_id,sdr_bass,sdr_drums,sdr_other,sdr_vocals,"
@@ -538,12 +538,13 @@ class TestSerialization:
         assert "bass:silent reference" in lines[1]
 
     def test_document_round_trip(self, tmp_path):
-        submission = SubmissionDescriptor("sys", Leaderboard.B, "extra", tmp_path)
         scores = [
             _song_score("a", 1, 2, 3, 4),
             _song_score("b", 4, 3, 2, 1, excluded=(StemKind.BASS,)),
         ]
-        document = scores_to_document(submission, scores, {1, 2}, 7, MetricConfig())
+        document = scores_to_document(score_documents(
+            {"sys": scores}, Leaderboard.B, MetricConfig().epsilon, seed=7, rounds={1, 2},
+            declaration="extra")[0])
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(document))
         loaded = load_score_document(path)
@@ -554,10 +555,9 @@ class TestSerialization:
 
     def _document(self, tmp_path, **fields):
         """A score document file with `fields` overridden; a None field is left out."""
-        submission = SubmissionDescriptor("sys", Leaderboard.B, "extra", tmp_path)
-        document = scores_to_document(
-            submission, [_song_score("a", 1, 2, 3, 4)], {1}, 7, MetricConfig(epsilon=1e-5)
-        )
+        document = scores_to_document(score_documents(
+            {"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, 1e-5, seed=7, rounds={1},
+            declaration="extra")[0])
         document.update(fields)
         path = tmp_path / "scores.json"
         path.write_text(json.dumps({k: v for k, v in document.items() if v is not None}))
@@ -626,8 +626,10 @@ class TestSerialization:
              "MUSDB18-HQ, got 'private corpus'"),
             (lambda doc: doc.update(epsilon=0.0), "epsilon must be finite and > 0"),
             (lambda doc: doc.update(epsilon=-1.0), "epsilon must be finite and > 0"),
+            (lambda doc: doc.update(system_id=""), "system_id must be non-empty"),
         ],
-        ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "epsilon-negative"],
+        ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "epsilon-negative",
+             "system-id-empty"],
     )
     def test_document_rule_violation_keeps_its_message(self, tmp_path, edit, message):
         doc = json.loads(self._document(tmp_path).read_text())
@@ -697,6 +699,11 @@ class TestSerialization:
         (score,) = load_score_document(path)["scores"]
         assert list(score.per_stem) == list(StemKind)
         assert score.sdr_song == 0.25
+
+    def test_board_b_declaration_kept_as_read(self, tmp_path):
+        for declaration, loaded in (("extra", "extra"), (5, 5), (None, "")):
+            path = self._document(tmp_path, training_data_declaration=declaration)
+            assert load_score_document(path)["training_data_declaration"] == loaded
 
     def test_document_accepts_integer_scores(self, tmp_path):
         path = self._document(tmp_path, rounds=[3, 1, 3])
