@@ -22,13 +22,9 @@ _EXPORTS = {
         "Aggregation",
         "MetricConfig",
         "MetricId",
-        "bsseval_v3_sdr",
         "framewise",
-        "global_mae",
-        "global_mse",
         "global_sdr",
         "metric_suite",
-        "si_sdr",
     ),
     "oracle": (
         "OracleConfig",

@@ -94,10 +94,6 @@ class Waveform:
     def num_frames(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_frames / self.sample_rate
-
 
 @dataclass(frozen=True)
 class WavHeader:

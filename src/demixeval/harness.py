@@ -423,15 +423,15 @@ def _finite(value, what: str) -> float:
 def load_score_document(path) -> dict:
     """Read back a score document; returns the parsed dict with SongScores.
 
-    The result is keyed as evaluate_submission's, training_data_declaration as
-    read ("" if absent) on board B. A file that is not a score document raises
+    The result is keyed as evaluate_submission's, training_data_declaration ""
+    if absent on board B. A file that is not a score document raises
     InvalidInputError: so do rounds that are not a non-empty list drawn from
     ROUNDS, a seed that is not a JSON integer >= 0, a repeated song_id, a score
     that is not a finite JSON number, an epsilon that MetricConfig refuses, an
-    excluded_song that is not a JSON boolean, an id or reason that is not a JSON
-    string, and an empty system_id. So does a leaderboard A document whose
-    training_data_declaration is missing, not a JSON string, or names anything
-    but MUSDB18 or MUSDB18-HQ, and a song record without a value for every stem,
+    excluded_song that is not a JSON boolean, an id, reason or declaration that
+    is not a JSON string, and an empty system_id. So does a leaderboard A
+    document with no training_data_declaration or one naming anything but
+    MUSDB18 or MUSDB18-HQ, and a song record without a value for every stem,
     with every stem excluded, or whose sdr_song is not the mean of its kept
     stems, bit for bit. Each message starts with the path; a field of the wrong
     JSON type reads "malformed score document (...)", a broken rule gives the
@@ -476,14 +476,14 @@ def load_score_document(path) -> dict:
             ))
         document = {
             "system_id": _typed(doc["system_id"], str, "system_id"),
-            "leaderboard": Leaderboard(doc["leaderboard"]),
-            "training_data_declaration": doc.get("training_data_declaration", ""),
+            "leaderboard": (board := Leaderboard(doc["leaderboard"])),
+            "training_data_declaration": _typed(  # required on board A only
+                doc.get("training_data_declaration", "") if board is Leaderboard.B else doc["training_data_declaration"],
+                str, "training_data_declaration"),
             "rounds": frozenset(rounds),
             "seed": seed,
             "epsilon": MetricConfig(float(_typed(doc["epsilon"], float, "epsilon"))).epsilon,
         }
-        if document["leaderboard"] is Leaderboard.A:  # board B takes any declaration, or none
-            document["training_data_declaration"] = _typed(doc["training_data_declaration"], str, "training_data_declaration")
         _check_entrant(document["system_id"], document["leaderboard"], document["training_data_declaration"])
     except KeyError as exc:
         raise InvalidInputError(f"{path}: score document has no {exc} field") from None

@@ -5,12 +5,14 @@ The headline metric is the stabilized global SDR,
     10 * log10((sum_n ||s(n)||^2 + eps) / (sum_n ||s(n) - s_hat(n)||^2 + eps)),
 
 where the per-frame norm runs across channels and eps keeps the ratio defined
-for silent inputs. The rest of the family (MAE, MSE, SI-SDR, the classic
-BSS Eval style SDR without the stabilizer, and framewise variants with mean or
-median aggregation) exists for cross-metric comparisons. All accumulation is
-in float64. A reference whose energy, over a frame or the whole signal, is at
-most DEFAULT_ENERGY_FLOOR (1e-12) is silent: framewise metrics skip such
-frames, and SI-SDR is undefined on it.
+for silent inputs. The comparison family (MAE, MSE, SI-SDR, the classic BSS
+Eval style SDR without the stabilizer, and framewise variants with mean or
+median aggregation) comes from metric_suite, which leaves an id undefined
+for the pair absent; global_sdr gives the SDR alone, framewise one metric
+on a chosen frame, hop and aggregation. All accumulation is in float64. A
+reference whose energy, over a frame or the whole signal, is at most
+DEFAULT_ENERGY_FLOOR (1e-12) is silent: framewise metrics skip such frames,
+and SI-SDR is undefined on it.
 
 Every metric takes Waveforms or WavHeaders, in any mix, and comes from one
 blocked reduction, _walk. It reads both signals in fixed blocks of 2**16
@@ -75,9 +77,11 @@ class MetricConfig:
 class MetricId(Enum):
     """Every metric in the comparison family.
 
-    Framewise variants aggregate per-frame values with mean or median. The
-    BSS Eval style entries drop the stabilizing constant; v3 framewise uses
-    30 s frames with a 15 s hop, v4 framewise uses 1 s frames with a 1 s hop.
+    Framewise variants aggregate per-frame values with mean or median. SI-SDR
+    projects the estimate onto the reference over channel-concatenated
+    signals, so a pure gain error does not count. The BSS Eval style entries
+    drop the stabilizing constant; v3 framewise uses 30 s frames with a 15 s
+    hop, v4 framewise uses 1 s frames with a 1 s hop.
     """
 
     GLOBAL_SDR = "global_sdr"
@@ -330,14 +334,6 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     return totals, global_residual, values
 
 
-def _global(base: MetricId, reference, estimate) -> float:
-    """One global metric that does not read epsilon: MAE, MSE, SI-SDR or BSS Eval v3."""
-    _check_pair(reference, estimate)
-    cfg = MetricConfig()
-    totals, residual, _ = _evaluate(reference, estimate, cfg, (), base is MetricId.GLOBAL_SI_SDR)
-    return _value(base, totals, residual, reference.num_channels * reference.num_frames, cfg)
-
-
 def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = MetricConfig()) -> float:
     """Stabilized global SDR in dB. Defined for every input, including silence.
 
@@ -358,36 +354,6 @@ def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> flo
     """
     _check_pair(reference, estimate)
     return _sdr_db(*_energies(reference, estimate), cfg)
-
-
-def global_mae(reference: Waveform, estimate: Waveform) -> float:
-    """Mean absolute error over all channels and frames. Lower is better."""
-    return _global(MetricId.GLOBAL_MAE, reference, estimate)
-
-
-def global_mse(reference: Waveform, estimate: Waveform) -> float:
-    """Mean squared error over all channels and frames. Lower is better."""
-    return _global(MetricId.GLOBAL_MSE, reference, estimate)
-
-
-def si_sdr(reference: Waveform, estimate: Waveform) -> float:
-    """Scale-invariant SDR in dB over channel-concatenated signals.
-
-    The estimate is projected onto the reference (target = <y, s>/||s||^2 * s)
-    so pure gain errors do not count. Clamped to +-120 dB; a silent reference
-    raises UndefinedMetricError.
-    """
-    return _global(MetricId.GLOBAL_SI_SDR, reference, estimate)
-
-
-def bsseval_v3_sdr(reference: Waveform, estimate: Waveform) -> float:
-    """Energy-ratio SDR with no stabilizing constant, BSS Eval v3 style.
-
-    Equals global_sdr up to the epsilon terms. Returns the +120 dB sentinel
-    for an exactly-zero error and raises UndefinedMetricError for an
-    exactly-silent reference.
-    """
-    return _global(MetricId.BSSEVAL_V3_SDR, reference, estimate)
 
 
 def _aggregate(values: list, aggregation: Aggregation) -> float:

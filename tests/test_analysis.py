@@ -20,7 +20,7 @@ from demixeval.analysis import (
 )
 from demixeval.audio_io import Waveform
 from demixeval.errors import InvalidInputError, UndefinedCorrelationError
-from demixeval.metrics import MetricId, bsseval_v3_sdr, global_mae, global_sdr
+from demixeval.metrics import MetricId, metric_suite
 
 from helpers import average_ranks_loop
 
@@ -223,14 +223,8 @@ class TestCorrelationMatrix:
             columns=(MetricId.GLOBAL_SDR, MetricId.BSSEVAL_V3_SDR, MetricId.GLOBAL_MAE)
         )
         for i, (ref, est) in enumerate(_sdr_corpus(rng)):
-            table.add_row(
-                ("sys", f"song{i}", "bass"),
-                {
-                    MetricId.GLOBAL_SDR: global_sdr(ref, est),
-                    MetricId.BSSEVAL_V3_SDR: bsseval_v3_sdr(ref, est),
-                    MetricId.GLOBAL_MAE: global_mae(ref, est),
-                },
-            )
+            results = metric_suite(ref, est)
+            table.add_row(("sys", f"song{i}", "bass"), {column: results[column] for column in table.columns})
         for kind in CorrelationKind:
             matrix = correlation_matrix(table, kind)
             assert matrix.get(MetricId.GLOBAL_SDR, MetricId.BSSEVAL_V3_SDR) > 0.999

@@ -36,7 +36,6 @@ class TestWaveform:
         w = Waveform(np.zeros((2, 100)), 44100)
         assert w.num_channels == 2
         assert w.num_frames == 100
-        assert w.duration_seconds == pytest.approx(100 / 44100)
 
     def test_rejects_nan(self):
         samples = np.zeros((1, 10))

@@ -589,9 +589,11 @@ def score_document(dataset, baseline_submission, tmp_path_factory):
         (_set("seed", value=0.7), "seed must be a JSON integer, got 0.7"),
         (_set("scores", 0, "excluded_song", value="false"), "excluded_song must be a JSON boolean, got 'false'"),
         (_set("system_id", value=["baseline"]), "system_id must be a JSON string, got ['baseline']"),
+        (_set("training_data_declaration", value=5),
+         "malformed score document (training_data_declaration must be a JSON string, got 5)"),
     ],
     ids=["rounds-str", "rounds-7", "repeated-song", "sdr-str", "sdr-nan", "stem-str", "stem-inf",
-         "seed-fraction", "excluded-str", "system-id-list"],
+         "seed-fraction", "excluded-str", "system-id-list", "board-b-declaration-number"],
 )
 def test_rank_rejects_mistyped_score_document(score_document, tmp_path, capsys, edit, message):
     doc = json.loads(json.dumps(score_document))

@@ -701,9 +701,12 @@ class TestSerialization:
         assert score.sdr_song == 0.25
 
     def test_board_b_declaration_kept_as_read(self, tmp_path):
-        for declaration, loaded in (("extra", "extra"), (5, 5), (None, "")):
+        for declaration, loaded in (("extra", "extra"), (None, "")):
             path = self._document(tmp_path, training_data_declaration=declaration)
             assert load_score_document(path)["training_data_declaration"] == loaded
+        message = "malformed score document (training_data_declaration must be a JSON string, got 5)"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_score_document(self._document(tmp_path, training_data_declaration=5))
 
     def test_document_accepts_integer_scores(self, tmp_path):
         path = self._document(tmp_path, rounds=[3, 1, 3])

@@ -14,13 +14,9 @@ from demixeval.metrics import (
     Aggregation,
     MetricConfig,
     MetricId,
-    bsseval_v3_sdr,
     framewise,
-    global_mae,
-    global_mse,
     global_sdr,
     metric_suite,
-    si_sdr,
 )
 from demixeval.metrics import _ENERGY_BLOCK, _energies
 
@@ -77,11 +73,11 @@ class TestGlobalSdr:
         # with the stabilizer removed, joint scaling by powers of two is exact
         ref = noise_waveform(rng, frames=800)
         est = Waveform(ref.samples + 0.1 * rng.standard_normal(ref.samples.shape), 8000)
-        base = bsseval_v3_sdr(ref, est)
+        base = metric_suite(ref, est)[MetricId.BSSEVAL_V3_SDR]
         for scale in (0.25, 0.5, 2.0, 8.0):
-            scaled = bsseval_v3_sdr(
+            scaled = metric_suite(
                 Waveform(scale * ref.samples, 8000), Waveform(scale * est.samples, 8000)
-            )
+            )[MetricId.BSSEVAL_V3_SDR]
             assert scaled == base
 
 
@@ -128,28 +124,28 @@ class TestEnergyReduction:
         expected = _energies(Waveform(ref, 8000), Waveform(est, 8000))
         contiguous = Waveform(ref, 8000), Waveform(est, 8000)
         sdr = global_sdr(*contiguous)
-        v3 = bsseval_v3_sdr(*contiguous)
+        v3 = metric_suite(*contiguous)[MetricId.BSSEVAL_V3_SDR]
         for r, e in layouts:
             assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected
             assert _energies(Waveform(r, 8000), Waveform(e, 8000)) == expected  # repeated call
             pair = Waveform(r, 8000), Waveform(e, 8000)
             assert global_sdr(*pair) == sdr
-            assert bsseval_v3_sdr(*pair) == v3
+            assert metric_suite(*pair)[MetricId.BSSEVAL_V3_SDR] == v3
             assert framewise(MetricId.GLOBAL_SDR, *pair, frames / 8000, frames / 8000) == sdr
 
 
 class TestMaeMse:
     def test_identical_signals(self, rng):
         ref = noise_waveform(rng)
-        assert global_mae(ref, ref) == 0.0
-        assert global_mse(ref, ref) == 0.0
+        assert metric_suite(ref, ref)[MetricId.GLOBAL_MAE] == 0.0
+        assert metric_suite(ref, ref)[MetricId.GLOBAL_MSE] == 0.0
 
     def test_constant_offset(self, rng):
         ref = noise_waveform(rng, frames=256)
         offset = 0.125  # power of two keeps the arithmetic exact
         est = Waveform(ref.samples + offset, ref.sample_rate)
-        assert global_mae(ref, est) == offset
-        assert global_mse(ref, est) == pytest.approx(offset**2, rel=1e-14)
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MAE] == offset
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MSE] == pytest.approx(offset**2, rel=1e-14)
 
     def test_matches_elementwise_loop(self, rng):
         ref = noise_waveform(rng, channels=2, frames=300)
@@ -162,8 +158,8 @@ class TestMaeMse:
                 abs_total += abs(diff)
                 sq_total += diff * diff
         count = 2 * 300
-        assert global_mae(ref, est) == pytest.approx(abs_total / count, rel=1e-12)
-        assert global_mse(ref, est) == pytest.approx(sq_total / count, rel=1e-12)
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MAE] == pytest.approx(abs_total / count, rel=1e-12)
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MSE] == pytest.approx(sq_total / count, rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -181,11 +177,11 @@ class TestMaeMse:
     def test_nonnegative_and_zero_iff_identical(self, data):
         ref = Waveform(data, 8000)
         est = Waveform(np.zeros_like(data), 8000)
-        assert global_mae(ref, est) >= 0.0
-        assert global_mse(ref, est) >= 0.0
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MAE] >= 0.0
+        assert metric_suite(ref, est)[MetricId.GLOBAL_MSE] >= 0.0
         identical = bool(np.all(data == 0.0))
-        assert (global_mse(ref, est) == 0.0) == identical
-        assert (global_mae(ref, est) == 0.0) == identical
+        assert (metric_suite(ref, est)[MetricId.GLOBAL_MSE] == 0.0) == identical
+        assert (metric_suite(ref, est)[MetricId.GLOBAL_MAE] == 0.0) == identical
 
 
 class TestSiSdr:
@@ -193,26 +189,26 @@ class TestSiSdr:
         ref = noise_waveform(rng)
         for scale in (0.1, 1.0, 7.5):
             est = Waveform(scale * ref.samples, ref.sample_rate)
-            assert si_sdr(ref, est) == DB_CLAMP
+            assert metric_suite(ref, est)[MetricId.GLOBAL_SI_SDR] == DB_CLAMP
 
     def test_scale_invariance_exact_for_pow2(self, rng):
-        ref = noise_waveform(rng)
-        est = Waveform(ref.samples + 0.2 * rng.standard_normal(ref.samples.shape), 8000)
-        base = si_sdr(ref, est)
-        for scale in (0.25, 2.0, 1024.0):
-            assert si_sdr(ref, Waveform(scale * est.samples, 8000)) == base
+        for frames in (4000, 20000):  # 20000 (2.5 s): the residual summed per 1-s unit
+            ref = noise_waveform(rng, frames=frames)
+            est = Waveform(ref.samples + 0.2 * rng.standard_normal(ref.samples.shape), 8000)
+            base = metric_suite(ref, est)[MetricId.GLOBAL_SI_SDR]
+            for scale in (0.25, 2.0, 1024.0):
+                assert metric_suite(ref, Waveform(scale * est.samples, 8000))[MetricId.GLOBAL_SI_SDR] == base
 
     def test_orthogonal_estimate_hits_negative_clamp(self):
         ref = np.zeros((1, 8))
         ref[0, 0] = 1.0
         est = np.zeros((1, 8))
         est[0, 1] = 1.0
-        assert si_sdr(Waveform(ref, 8000), Waveform(est, 8000)) == -DB_CLAMP
+        assert metric_suite(Waveform(ref, 8000), Waveform(est, 8000))[MetricId.GLOBAL_SI_SDR] == -DB_CLAMP
 
     def test_silent_reference_undefined(self, rng):
         silent = Waveform(np.zeros((2, 64)), 8000)
-        with pytest.raises(UndefinedMetricError):
-            si_sdr(silent, noise_waveform(rng, frames=64))
+        assert MetricId.GLOBAL_SI_SDR not in metric_suite(silent, noise_waveform(rng, frames=64))
 
     def test_matches_projection_oracle(self, rng):
         for _ in range(30):
@@ -226,19 +222,18 @@ class TestSiSdr:
             alpha = np.linalg.lstsq(s[:, None], y, rcond=None)[0][0]
             target = alpha * s
             expected = 10 * np.log10(np.sum(target**2) / np.sum((y - target) ** 2))
-            assert si_sdr(ref, est) == pytest.approx(expected, abs=1e-9)
+            assert metric_suite(ref, est)[MetricId.GLOBAL_SI_SDR] == pytest.approx(expected, abs=1e-9)
 
 
 class TestBssEvalV3:
     def test_perfect_estimate_clamps(self, rng):
         ref = noise_waveform(rng)
-        assert bsseval_v3_sdr(ref, ref) == DB_CLAMP
+        assert metric_suite(ref, ref)[MetricId.BSSEVAL_V3_SDR] == DB_CLAMP
 
     def test_silent_reference_undefined_but_global_sdr_defined(self, rng):
         silent = Waveform(np.zeros((2, 64)), 8000)
         est = noise_waveform(rng, frames=64)
-        with pytest.raises(UndefinedMetricError):
-            bsseval_v3_sdr(silent, est)
+        assert MetricId.BSSEVAL_V3_SDR not in metric_suite(silent, est)
         assert math.isfinite(global_sdr(silent, est))
 
     def test_epsilon_equivalence(self, rng):
@@ -249,7 +244,7 @@ class TestBssEvalV3:
             signal_energy = np.sum(ref.samples**2)
             noise_energy = np.sum((ref.samples - est.samples) ** 2)
             bound = 10 * np.log10(1 + EPS / min(signal_energy, noise_energy))
-            difference = abs(bsseval_v3_sdr(ref, est) - global_sdr(ref, est))
+            difference = abs(metric_suite(ref, est)[MetricId.BSSEVAL_V3_SDR] - global_sdr(ref, est))
             assert difference <= bound + 1e-12
 
 
@@ -258,7 +253,7 @@ class TestFramewise:
         ref = noise_waveform(rng, frames=2400, rate=800)
         est = Waveform(ref.samples + 0.1 * rng.standard_normal((2, 2400)), 800)
         assert framewise(MetricId.GLOBAL_SDR, ref, est, 3.0, 3.0) == global_sdr(ref, est)
-        assert framewise(MetricId.GLOBAL_MAE, ref, est, 3.0, 3.0) == global_mae(ref, est)
+        assert framewise(MetricId.GLOBAL_MAE, ref, est, 3.0, 3.0) == metric_suite(ref, est)[MetricId.GLOBAL_MAE]
 
     def test_identical_frames_mean_equals_median(self, rng):
         block_ref = rng.standard_normal((2, 500))
@@ -385,10 +380,13 @@ class TestMetricSuite:
         cfg = MetricConfig()
         results = metric_suite(ref, est, cfg)
         assert results[MetricId.GLOBAL_SDR] == global_sdr(ref, est, cfg)
-        assert results[MetricId.GLOBAL_MAE] == global_mae(ref, est)
-        assert results[MetricId.GLOBAL_MSE] == global_mse(ref, est)
-        assert results[MetricId.GLOBAL_SI_SDR] == si_sdr(ref, est)
-        assert results[MetricId.BSSEVAL_V3_SDR] == bsseval_v3_sdr(ref, est)
+        # one 3-s frame is the whole signal
+        for base in (MetricId.GLOBAL_MAE, MetricId.GLOBAL_MSE, MetricId.BSSEVAL_V3_SDR):
+            assert results[base] == framewise(base, ref, est, 3.0, 3.0)
+        # the suite sums the SI-SDR residual per 1-s unit, the frame per 3-s unit
+        assert results[MetricId.GLOBAL_SI_SDR] == pytest.approx(
+            framewise(MetricId.GLOBAL_SI_SDR, ref, est, 3.0, 3.0), abs=1e-10
+        )
         assert results[MetricId.FRAMEWISE_SDR_MEAN] == framewise(
             MetricId.GLOBAL_SDR, ref, est, 1.0, 1.0
         )

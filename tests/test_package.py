@@ -40,6 +40,14 @@ def test_every_export_resolves_and_is_listed():
     assert demixeval.__version__ == "0.1.0"
 
 
+def test_comparison_family_has_one_entry_point():
+    # each global MAE, MSE, SI-SDR and BSS Eval v3 value comes from metric_suite alone
+    metrics = importlib.import_module("demixeval.metrics")
+    for name in ("si_sdr", "bsseval_v3_sdr", "global_mae", "global_mse"):
+        assert name not in demixeval.__all__
+        assert not hasattr(metrics, name)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         demixeval.no_such_name
