@@ -245,7 +245,7 @@ def read_metric_table_csv(path) -> MetricTable:
                 for metric, cell in zip(columns, row[3:])
                 if cell != ""
             }
-        except ValueError as exc:
+            table.add_row(tuple(row[:3]), values)
+        except ValueError as exc:  # add_row's InvalidInputError is a ValueError too
             raise InvalidInputError(f"{path}: line {line_number}: {exc}") from None
-        table.add_row(tuple(row[:3]), values)
     return table

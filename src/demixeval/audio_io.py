@@ -455,9 +455,9 @@ def load_manifest(path) -> DatasetManifest:
                 song_id=song_id,
                 stem_paths=stem_paths,
                 mixture_path=base / _typed(record["mixture"], str, f"song {song_id}: mixture path"),
-                genre=str(record.get("genre", "")),
-                language=str(record.get("language", "")),
-                title=str(record.get("title", "")),
+                genre=_typed(record.get("genre", ""), str, f"song {song_id}: genre"),
+                language=_typed(record.get("language", ""), str, f"song {song_id}: language"),
+                title=_typed(record.get("title", ""), str, f"song {song_id}: title"),
                 other_instruments=tuple(
                     _typed(record.get("other_instruments", []), list, f"song {song_id}: other_instruments")
                 ),
@@ -481,29 +481,15 @@ _BLOCK_FRAMES = 1 << 16  # frames per block that validate, score and suite decod
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of checking one song's audio against the mixture convention."""
+    """Outcome of checking one song's audio against the mixture convention; it passes with no issue."""
 
-    song_id: str
-    length_errors: tuple
-    rate_errors: tuple
+    issues: tuple
     max_deviation: float
-    tolerance: float
     warnings: tuple = ()
 
     @property
     def passed(self) -> bool:
-        if self.length_errors or self.rate_errors:
-            return False
-        return self.max_deviation <= self.tolerance  # NaN compares False
-
-    def issues(self) -> list:
-        found = list(self.length_errors) + list(self.rate_errors)
-        if not found and not self.max_deviation <= self.tolerance:
-            found.append(
-                f"mixture deviates from stem sum by {self.max_deviation:.6g} "
-                f"(tolerance {self.tolerance:.6g})"
-            )
-        return found
+        return not self.issues
 
 
 def validate_song_audio(entry: SongEntry, tolerance: float = DEFAULT_MIX_TOLERANCE) -> ValidationReport:
@@ -565,11 +551,7 @@ def validate_song_audio(entry: SongEntry, tolerance: float = DEFAULT_MIX_TOLERAN
             elif not declared and mean_power <= SILENCE_WARNING_FLOOR:
                 warnings.append(f"stem {kind} appears silent but is not declared silent")
 
-    return ValidationReport(
-        song_id=entry.song_id,
-        length_errors=tuple(length_errors),
-        rate_errors=tuple(rate_errors),
-        max_deviation=max_deviation,
-        tolerance=float(tolerance),
-        warnings=tuple(warnings),
-    )
+    issues = length_errors + rate_errors
+    if not issues and not max_deviation <= tolerance:  # NaN compares False
+        issues.append(f"mixture deviates from stem sum by {max_deviation:.6g} (tolerance {tolerance:.6g})")
+    return ValidationReport(tuple(issues), max_deviation, tuple(warnings))

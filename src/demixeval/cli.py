@@ -46,7 +46,7 @@ def cmd_validate(args) -> int:
         status = "PASS" if report.passed else "FAIL"
         all_passed = all_passed and report.passed
         deviation = format(report.max_deviation, ".6g")
-        issues = ";".join(report.issues())
+        issues = ";".join(report.issues)
         warnings = ";".join(report.warnings)
         print(f'{entry.song_id},{status},{deviation},"{issues}","{warnings}"')
     return 0 if all_passed else 1

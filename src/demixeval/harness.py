@@ -47,6 +47,16 @@ _BOARD_A_DATASETS = {"musdb18", "musdb18-hq"}
 ROUNDS = (1, 2, 3)  # the challenge's rounds, in order
 
 
+def _check_rounds(rounds) -> frozenset:
+    """rounds as a frozenset, if they are a non-empty selection of ROUNDS."""
+    rounds = frozenset(rounds)
+    if not rounds or not rounds <= set(ROUNDS):
+        raise InvalidInputError(
+            f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {sorted(rounds)}"
+        )
+    return rounds
+
+
 def _check_entrant(system_id: str, leaderboard: Leaderboard, declaration: str) -> None:
     """A system's rules, in a submission or a score document: a non-empty system_id and,
     on leaderboard A, a training data declaration naming only MUSDB18 or MUSDB18-HQ."""
@@ -81,7 +91,8 @@ class SubmissionDescriptor:
 class SongScore:
     """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
 
-    per_stem is a non-empty {StemKind: float}, kept in StemKind order; some stem is not excluded.
+    per_stem is a {StemKind: float} with a value for each stem, kept in StemKind order; some
+    stem is not excluded.
     """
 
     song_id: str
@@ -92,13 +103,14 @@ class SongScore:
 
     def __post_init__(self) -> None:
         per_stem = {k: float(v) for k, v in self.per_stem.items()}
-        if not per_stem:
-            raise InvalidInputError("per_stem needs at least one value")
         if any(not isinstance(k, StemKind) for k in [*per_stem, *self.excluded_stems]):
             raise InvalidInputError("per_stem and excluded_stems keys must be StemKind members")
-        object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind if k in per_stem})
+        missing = [kind.value for kind in StemKind if kind not in per_stem]
+        if missing:
+            raise InvalidInputError(f"no value for {', '.join(missing)}")
+        object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind})
         object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
-        if all(k in self.excluded_stems for k in per_stem):  # sdr_song would divide by zero
+        if all(k in self.excluded_stems for k in StemKind):  # sdr_song would divide by zero
             raise InvalidInputError("every stem is excluded")
 
     @property
@@ -216,9 +228,7 @@ def evaluate_submission(
     raised together as an EvaluationError, never silently skipped.
     """
     plan = plan_rounds(manifest, seed)
-    rounds = frozenset(rounds)
-    if not rounds or not rounds <= set(ROUNDS):
-        raise InvalidInputError(f"rounds must be a non-empty subset of {set(ROUNDS)}, got {sorted(rounds)}")
+    rounds = _check_rounds(rounds)
     root = submission.estimates_root
     tasks = [
         (song, {kind: root / song.song_id / f"{kind.value}.wav" for kind in StemKind}, cfg)
@@ -301,11 +311,7 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
         mean = sum(score.sdr_song for score in scores) / len(scores)
         per_stem = {}
         for kind in StemKind:
-            values = [
-                score.per_stem[kind]
-                for score in scores
-                if kind in score.per_stem and kind not in score.excluded_stems
-            ]
+            values = [score.per_stem[kind] for score in scores if kind not in score.excluded_stems]
             if values:
                 per_stem[kind] = sum(values) / len(values)
         rows.append((system_id, mean, per_stem))
@@ -442,9 +448,7 @@ def load_score_document(path) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
     try:
-        rounds = _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")
-        if not rounds or any(_typed(r, int, "a round") not in ROUNDS for r in rounds):
-            raise InvalidInputError(f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {rounds}")
+        rounds = _check_rounds([_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")])
         seed = _typed(doc["seed"], int, "seed")
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
@@ -480,7 +484,7 @@ def load_score_document(path) -> dict:
             "training_data_declaration": _typed(  # required on board A only
                 doc.get("training_data_declaration", "") if board is Leaderboard.B else doc["training_data_declaration"],
                 str, "training_data_declaration"),
-            "rounds": frozenset(rounds),
+            "rounds": rounds,
             "seed": seed,
             "epsilon": MetricConfig(float(_typed(doc["epsilon"], float, "epsilon"))).epsilon,
         }
@@ -495,10 +499,7 @@ def load_score_document(path) -> dict:
     document["scores"] = []
     for mean, fields in records:
         try:
-            missing = [kind.value for kind in StemKind if kind not in fields["per_stem"]]
-            if missing:
-                raise InvalidInputError(f"no value for {', '.join(missing)}")
-            score = SongScore(**fields)  # refuses a record with no kept stem
+            score = SongScore(**fields)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
         except InvalidInputError as exc:

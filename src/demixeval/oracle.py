@@ -16,10 +16,10 @@ yields finished estimates, so its working set does not grow with the song.
 
 No output depends on the chunk size: every sample sums its frames in
 increasing order. stft, istft and ideal_swf are exact and must stay bit for
-bit. ideal_mwf is within 1e-7 * max|mixture| of a per-bin np.linalg.inv
-filter at the default config (its 2x2 system is badly conditioned where one
-panned source dominates) and within 1e-12 * max|mixture| at regularization
-1e-3.
+bit. ideal_mwf regularizes with the constant 1e-10 and is within
+1e-7 * max|mixture| of a per-bin np.linalg.inv filter (its 2x2 system is
+badly conditioned where one panned source dominates); raised to 1e-3, the
+well-conditioned system agrees within 1e-12 * max|mixture|.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """STFT geometry and MWF regularization; the SWF mask exponent is 2 and each MWF covariance one frame's."""
+    """STFT geometry; the SWF mask exponent is 2 and each MWF covariance one frame's."""
 
     fft_size: int = 4096
     hop: int = 1024
-    mwf_regularization: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.fft_size < 4 or self.fft_size % 2 != 0:
@@ -49,8 +48,6 @@ class OracleConfig:
             # between frames (zero at hop == fft_size), where the overlap-add
             # inverse amplifies errors or loses samples outright
             raise InvalidInputError("hop must be in [1, fft_size // 2]")
-        if not 0 < self.mwf_regularization < np.inf:  # NaN fails the comparison too
-            raise InvalidInputError("mwf_regularization must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,10 @@ def swf_masks(references: Mapping[StemKind, Waveform], cfg: OracleConfig = Oracl
     return dict(zip(kinds, _ratio_masks(stem_bins)))
 
 
-def _mwf_bins(spec: np.ndarray, cfg: OracleConfig) -> np.ndarray:
+_MWF_REGULARIZATION = 1e-10  # lambda over the local trace's mean
+
+
+def _mwf_bins(spec: np.ndarray) -> np.ndarray:
     """Multichannel Wiener estimate bins (stems, 2, frames, bins) from spec, the mixture's and the stems' STFT frames."""
     # per stem, the Hermitian (|L|^2, |R|^2, L conj(R)) of each bin; conj(R) L in this operand
     # order: a complex product's rounding depends on the order (fused multiply-adds), and numpy
@@ -201,7 +201,7 @@ def _mwf_bins(spec: np.ndarray, cfg: OracleConfig) -> np.ndarray:
     left, right, cross = (sum(cov[i] for cov in covariances) for i in range(3))
 
     # absolute epsilon keeps the matrix invertible at all-silent bins
-    lam = cfg.mwf_regularization * ((left + right) / 2.0) + np.finfo(np.float64).eps
+    lam = _MWF_REGULARIZATION * ((left + right) / 2.0) + np.finfo(np.float64).eps
     left += lam
     right += lam
     det = left * right - (cross.real**2 + cross.imag**2)
@@ -262,7 +262,7 @@ def _stream(multichannel: bool, mixture, references: Mapping, cfg: OracleConfig)
         chunk += 1
         stop = min(chunk * _CHUNK_FRAMES + 1, total)
         spec = _analysis(buffer[..., done * hop - origin : (stop - 1) * hop + length - origin], window, hop)
-        bins = _mwf_bins(spec, cfg) if multichannel else _ratio_masks(spec[1:]) * spec[0]
+        bins = _mwf_bins(spec) if multichannel else _ratio_masks(spec[1:]) * spec[0]
         frames = np.fft.irfft(bins, n=length, axis=-1)
         frames *= window
         sums = _overlap_add(frames, sums, hop)

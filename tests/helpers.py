@@ -225,11 +225,11 @@ def istft_reference(bins, fft_size, hop, signal_length):
     return (accumulated / weight)[:, fft_size : fft_size + signal_length]
 
 
-def mwf_reference(mixture, references, cfg):
+def mwf_reference(mixture, references, cfg, regularization):
     """Multichannel Wiener oracle with full complex 2x2 matrices and np.linalg.inv.
 
     Per bin and frame: R_k = S_k S_k^H, W_k = R_k (sum_j R_j + lambda I)^-1
-    with lambda = reg * trace / 2 + eps, estimate_k = W_k X. Returns
+    with lambda = regularization * trace / 2 + eps, estimate_k = W_k X. Returns
     {kind: samples}.
     """
     fft_size, hop = cfg.fft_size, cfg.hop
@@ -240,7 +240,7 @@ def mwf_reference(mixture, references, cfg):
         covariances[kind] = np.einsum("aft,bft->ftab", spec, spec.conj())
     total = sum(covariances.values())
     trace = np.real(total[..., 0, 0] + total[..., 1, 1])
-    lam = cfg.mwf_regularization * trace / 2.0 + np.finfo(np.float64).eps
+    lam = regularization * trace / 2.0 + np.finfo(np.float64).eps
     inverse = np.linalg.inv(total + lam[..., None, None] * np.eye(2))
     return {
         kind: istft_reference(

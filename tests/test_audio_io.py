@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -11,6 +12,7 @@ from demixeval.audio_io import (
     DatasetManifest,
     SongEntry,
     StemKind,
+    ValidationReport,
     Waveform,
     load_manifest,
     read_wav,
@@ -588,7 +590,20 @@ class TestValidateSongAudio:
         entry = _write_song_files(tmp_path, "short", stems, mixture)
         report = validate_song_audio(entry)
         assert not report.passed
-        assert any("drums" in message for message in report.length_errors)
+        assert any("drums" in message for message in report.issues)
+
+    def test_deviation_alone_is_the_one_issue(self, tmp_path, rng):
+        stems = _grid_stems(rng)
+        mixture = sum(stems.values())
+        assert validate_song_audio(_write_song_files(tmp_path, "exact", stems, mixture)).issues == ()
+        off = mixture.copy()
+        off[1, 7] += 0.5
+        report = validate_song_audio(_write_song_files(tmp_path, "off", stems, off))
+        assert report.issues == ("mixture deviates from stem sum by 0.5 (tolerance 0.001)",)
+        assert report.passed is False
+
+    def test_report_holds_issues_deviation_and_warnings(self):
+        assert [f.name for f in dataclasses.fields(ValidationReport)] == ["issues", "max_deviation", "warnings"]
 
     def test_rate_mismatch_fails(self, tmp_path, rng):
         stems = _grid_stems(rng)
@@ -600,7 +615,7 @@ class TestValidateSongAudio:
         )
         report = validate_song_audio(entry)
         assert not report.passed
-        assert any("bass" in message for message in report.rate_errors)
+        assert any("bass" in message for message in report.issues)
 
     def test_pcm16_quantization_bound(self, tmp_path, rng):
         frames = 500

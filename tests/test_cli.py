@@ -449,6 +449,18 @@ def test_analyze_duplicate_metric_column(tmp_path, capsys):
     _assert_one_error_line(capsys, f"{path}: duplicate column global_sdr")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("s,a,bass,1\ns,a,bass,2\n", "line 3: duplicate row key"), ("s,a,bass,inf\n", "line 2: non-finite value")],
+    ids=["repeated-row", "inf-cell"],
+)
+def test_analyze_row_error_names_table_and_line(tmp_path, capsys, rows, message):
+    path = tmp_path / "table.csv"
+    path.write_text("system_id,song_id,stem,global_sdr\n" + rows)
+    assert run(["analyze", "--table", str(path), "--kind", "pearson"]) == 1
+    _assert_one_error_line(capsys, f"{path}: {message}")
+
+
 def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
     doc = json.loads(dataset.read_text())
     doc["sample_rate"] = "abc"
@@ -536,10 +548,14 @@ def _set(*keys, value):
         (_set("sample_rate", value=16000.0), "sample_rate must be a JSON integer, got 16000.0"),
         (_set("sample_rate", value="16000"), "sample_rate must be a JSON integer, got '16000'"),
         (_set("sample_rate", value=True), "sample_rate must be a JSON integer, got True"),
+        (_set("songs", 0, "title", value=None), "song syn_000: title must be a JSON string, got None"),
+        (_set("songs", 0, "genre", value=["rock"]), "song syn_000: genre must be a JSON string, got ['rock']"),
+        (_set("songs", 0, "language", value=5), "song syn_000: language must be a JSON string, got 5"),
     ],
     ids=["manifest-latin-1", "songs", "stem-path", "mixture", "other-int", "other-str",
          "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1",
-         "song-id-list", "song-id-int", "rate-fraction", "rate-float", "rate-str", "rate-bool"],
+         "song-id-list", "song-id-int", "rate-fraction", "rate-float", "rate-str", "rate-bool",
+         "title-null", "genre-list", "language-int"],
 )
 def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, edit, message):
     path = tmp_path / "input"

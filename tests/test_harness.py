@@ -117,14 +117,17 @@ class TestScoreSong:
 
     def test_hand_arithmetic_three_stem_mean(self):
         # silent bass: mean over drums/other/vocals only
-        score = SongScore("s", {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}, {})
+        score = SongScore(
+            "s",
+            {StemKind.BASS: -40.0, StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0},
+            {StemKind.BASS: "silent reference"},
+        )
         assert score.sdr_song == 6.0
 
     @pytest.mark.parametrize(
         "per_stem, excluded",
-        [({StemKind.BASS: 1.0}, {StemKind.BASS: "r"}),
-         ({k: 1.0 for k in StemKind}, {k: "silent reference" for k in StemKind})],
-        ids=["one-stem", "four-stems"],
+        [({k: 1.0 for k in StemKind}, {k: "silent reference" for k in StemKind})],
+        ids=["four-stems"],
     )
     def test_record_without_a_kept_stem_refused(self, per_stem, excluded):
         # its mean would divide by zero
@@ -134,7 +137,11 @@ class TestScoreSong:
     def test_non_stem_excluded_key_refused(self):
         # the string key would exclude nothing, so the mean would keep the bass
         with pytest.raises(InvalidInputError, match="keys must be StemKind members"):
-            SongScore("x", {StemKind.BASS: 1.0, StemKind.DRUMS: 3.0}, {"bass": "r"})
+            SongScore("x", {k: 1.0 for k in StemKind}, {"bass": "r"})
+
+    def test_record_without_every_stem_refused(self):
+        with pytest.raises(InvalidInputError, match="^no value for drums, other, vocals$"):
+            SongScore("s", {StemKind.BASS: 1.0}, {})
 
     def test_perfect_estimates(self, small_dataset):
         entry = small_dataset.songs[0]
@@ -241,7 +248,7 @@ class TestEvaluateSubmission:
 
     def test_bad_rounds_rejected(self, small_dataset, tmp_path):
         submission = SubmissionDescriptor("base", Leaderboard.B, "none", tmp_path)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"non-empty list drawn from 1, 2, 3, got \[4\]"):
             evaluate_submission(submission, small_dataset, {4}, 3)
         with pytest.raises(InvalidInputError):
             evaluate_submission(submission, small_dataset, set(), 3)

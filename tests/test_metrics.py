@@ -530,7 +530,9 @@ class TestSdrSong:
 
     def test_three_stem_mean(self):
         scores = SongScore(
-            "s", {StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0}, {}
+            "s",
+            {StemKind.BASS: -40.0, StemKind.DRUMS: 6.0, StemKind.OTHER: 3.0, StemKind.VOCALS: 9.0},
+            {StemKind.BASS: "silent reference"},
         )
         assert scores.sdr_song == pytest.approx(6.0)
 

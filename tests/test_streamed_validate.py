@@ -98,7 +98,7 @@ class TestExactness:
         entry = _song(tmp_path, channels, frames)
         deviation, _ = _whole_file(entry)
         report = validate_song_audio(entry)
-        assert report.length_errors == report.rate_errors == ()
+        assert report.issues == ()
         assert report.max_deviation.hex() == deviation.hex()
         if frames:
             assert report.max_deviation > 0
