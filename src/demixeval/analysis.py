@@ -38,12 +38,7 @@ def pearson(x, y) -> float:
     dot product: OpenBLAS splits a long one across threads, so its bits would
     depend on the thread count.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise InvalidInputError("sequences must be 1-D and of equal length")
-    if len(x) < 2:
-        raise InvalidInputError("correlation needs at least 2 points")
+    x, y = _pair(x, y)
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(np.add.reduce(xc * xc))
@@ -52,6 +47,17 @@ def pearson(x, y) -> float:
         raise UndefinedCorrelationError("correlation is undefined for a constant sequence")
     value = float(np.add.reduce(xc * yc)) / float(np.sqrt(sxx * syy))
     return max(-1.0, min(1.0, value))
+
+
+def _pair(x, y) -> tuple:
+    """x and y as float64 arrays, if they are 1-D, of equal length and at least 2 points long."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InvalidInputError("sequences must be 1-D and of equal length")
+    if len(x) < 2:
+        raise InvalidInputError("correlation needs at least 2 points")
+    return x, y
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -67,12 +73,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Pearson correlation of fractional ranks (average-rank ties)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise InvalidInputError("sequences must be 1-D and of equal length")
-    if len(x) < 2:
-        raise InvalidInputError("correlation needs at least 2 points")
+    x, y = _pair(x, y)
     return pearson(_average_ranks(x), _average_ranks(y))
 
 

@@ -348,10 +348,6 @@ class SongEntry:
     song_id: str
     stem_paths: Mapping[StemKind, Path]
     mixture_path: Path
-    genre: str = ""
-    language: str = ""
-    title: str = ""
-    other_instruments: tuple = ()
     is_demo: bool = False
     silent_stems: frozenset = frozenset()
 
@@ -373,17 +369,14 @@ class SongEntry:
             raise ManifestError(f"song {self.song_id}: all four stems declared silent")
         object.__setattr__(self, "stem_paths", paths)
         object.__setattr__(self, "mixture_path", Path(self.mixture_path))
-        object.__setattr__(self, "other_instruments", tuple(self.other_instruments))
         object.__setattr__(self, "silent_stems", silent)
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Ordered song list plus dataset-level metadata."""
+    """Ordered song list, non-empty and without a repeated song_id."""
 
     songs: tuple
-    name: str
-    sample_rate: int
 
     def __post_init__(self) -> None:
         songs = tuple(self.songs)
@@ -394,10 +387,7 @@ class DatasetManifest:
             if song.song_id in seen:
                 raise ManifestError(f"duplicate song_id {song.song_id!r}")
             seen.add(song.song_id)
-        if int(self.sample_rate) <= 0:
-            raise ManifestError("manifest sample_rate must be positive")
         object.__setattr__(self, "songs", songs)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def eligible_songs(self) -> list:
         """Songs that count for scoring (demo songs removed)."""
@@ -418,7 +408,8 @@ def load_manifest(path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest.
 
     File paths inside the manifest are resolved relative to the manifest's
-    directory. Songs keep file order. See the README for the full format.
+    directory. Songs keep file order. See the README for the full format;
+    the metadata no command reads is type-checked, then dropped.
     """
     path = Path(path)
     try:
@@ -451,16 +442,15 @@ def load_manifest(path) -> DatasetManifest:
         silent_names = _typed(record.get("silent_stems", []), list, f"song {song_id}: silent_stems")
         silent = frozenset(StemKind.from_name(name) for name in silent_names)
         try:
+            mixture_path = base / _typed(record["mixture"], str, f"song {song_id}: mixture path")
+            for key in ("genre", "language", "title"):
+                _typed(record.get(key, ""), str, f"song {song_id}: {key}")
+            for item in _typed(record.get("other_instruments", []), list, f"song {song_id}: other_instruments"):
+                _typed(item, str, f"song {song_id}: other_instruments item")
             entry = SongEntry(
                 song_id=song_id,
                 stem_paths=stem_paths,
-                mixture_path=base / _typed(record["mixture"], str, f"song {song_id}: mixture path"),
-                genre=_typed(record.get("genre", ""), str, f"song {song_id}: genre"),
-                language=_typed(record.get("language", ""), str, f"song {song_id}: language"),
-                title=_typed(record.get("title", ""), str, f"song {song_id}: title"),
-                other_instruments=tuple(
-                    _typed(record.get("other_instruments", []), list, f"song {song_id}: other_instruments")
-                ),
+                mixture_path=mixture_path,
                 is_demo=_typed(record.get("is_demo", False), bool, f"song {song_id}: is_demo"),
                 silent_stems=silent,
             )
@@ -469,7 +459,11 @@ def load_manifest(path) -> DatasetManifest:
         songs.append(entry)
 
     sample_rate = _typed(doc["sample_rate"], int, f"{path}: sample_rate")
-    return DatasetManifest(tuple(songs), str(doc["name"]), sample_rate)
+    _typed(doc["name"], str, f"{path}: name")
+    manifest = DatasetManifest(tuple(songs))  # an empty song list is reported before the rate
+    if sample_rate <= 0:
+        raise ManifestError("manifest sample_rate must be positive")
+    return manifest
 
 
 # mean-power threshold below which a stem counts as silent for warnings

@@ -47,6 +47,12 @@ _BOARD_A_DATASETS = {"musdb18", "musdb18-hq"}
 ROUNDS = (1, 2, 3)  # the challenge's rounds, in order
 
 
+def _check_seed(seed: int) -> None:
+    """InvalidInputError unless seed is a valid round-plan seed (>= 0)."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def _check_rounds(rounds) -> frozenset:
     """rounds as a frozenset, if they are a non-empty selection of ROUNDS."""
     rounds = frozenset(rounds)
@@ -138,8 +144,7 @@ def plan_rounds(manifest: DatasetManifest, seed: int) -> dict:
 
     Deterministic for a given seed; demo songs are assigned to no round.
     """
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     eligible = [song.song_id for song in manifest.eligible_songs()]
     if len(eligible) < len(ROUNDS):
         raise InvalidInputError(f"need at least {len(ROUNDS)} non-demo songs to plan rounds, got {len(eligible)}")
@@ -450,8 +455,7 @@ def load_score_document(path) -> dict:
     try:
         rounds = _check_rounds([_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")])
         seed = _typed(doc["seed"], int, "seed")
-        if seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {seed}")
+        _check_seed(seed)
         records = []  # (stored sdr_song, SongScore fields)
         seen = set()
         for index, record in enumerate(_typed(doc["scores"], list, "scores")):

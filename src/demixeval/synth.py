@@ -126,14 +126,13 @@ def make_dataset(
     seed: int = 0,
     demo_song_indices: tuple = (),
     silent_bass_indices: tuple = (),
-    name: str = "synthetic",
 ) -> Path:
     """Write a synthetic dataset with stems, mixtures and a JSON manifest.
 
     Returns the manifest path. Songs are named syn_000, syn_001, ...
     Indices in demo_song_indices are flagged is_demo; indices in
     silent_bass_indices get an all-zero bass stem and the matching
-    silent_stems annotation.
+    silent_stems annotation. The manifest is named "synthetic".
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -168,7 +167,7 @@ def make_dataset(
     manifest_path = root / "manifest.json"
     manifest_path.write_text(
         json.dumps(
-            {"name": name, "sample_rate": sample_rate, "songs": records}, indent=2
+            {"name": "synthetic", "sample_rate": sample_rate, "songs": records}, indent=2
         )
         + "\n"
     )

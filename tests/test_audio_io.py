@@ -545,7 +545,16 @@ class TestManifest:
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ManifestError):
-            DatasetManifest((), "empty", 44100)
+            DatasetManifest(())
+
+    def test_records_hold_only_what_a_command_reads(self):
+        assert [f.name for f in dataclasses.fields(SongEntry)] == [
+            "song_id", "stem_paths", "mixture_path", "is_demo", "silent_stems"]
+        assert [f.name for f in dataclasses.fields(DatasetManifest)] == ["songs"]
+
+    def test_empty_song_list_reported_before_rate(self, tmp_path):
+        with pytest.raises(ManifestError, match="^manifest must list at least one song$"):
+            load_manifest(_write_manifest(tmp_path, [], rate=0))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "manifest.json"

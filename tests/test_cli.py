@@ -551,11 +551,15 @@ def _set(*keys, value):
         (_set("songs", 0, "title", value=None), "song syn_000: title must be a JSON string, got None"),
         (_set("songs", 0, "genre", value=["rock"]), "song syn_000: genre must be a JSON string, got ['rock']"),
         (_set("songs", 0, "language", value=5), "song syn_000: language must be a JSON string, got 5"),
+        (_set("songs", 0, "other_instruments", value=[None]),
+         "song syn_000: other_instruments item must be a JSON string, got None"),
+        (_set("name", value=None), "name must be a JSON string, got None"),
+        (_set("sample_rate", value=0), "manifest sample_rate must be positive"),
     ],
     ids=["manifest-latin-1", "songs", "stem-path", "mixture", "other-int", "other-str",
          "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1",
          "song-id-list", "song-id-int", "rate-fraction", "rate-float", "rate-str", "rate-bool",
-         "title-null", "genre-list", "language-int"],
+         "title-null", "genre-list", "language-int", "other-member-null", "name-null", "rate-zero"],
 )
 def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, edit, message):
     path = tmp_path / "input"

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from demixeval.audio_io import StemKind, Waveform, load_manifest, read_wav, write_wav
+from demixeval.audio_io import StemKind, Waveform, load_manifest, read_wav, read_wav_header, write_wav
 from demixeval.errors import (
     EvaluationError,
     InvalidInputError,
@@ -178,7 +178,7 @@ class TestScoreSong:
 
     def test_shape_mismatch_names_song(self, small_dataset):
         entry = small_dataset.songs[0]
-        wrong = Waveform(np.zeros((2, 7)), small_dataset.sample_rate)
+        wrong = Waveform(np.zeros((2, 7)), read_wav_header(entry.mixture_path).sample_rate)
         estimates = {kind: wrong for kind in StemKind}
         with pytest.raises(InvalidInputError, match=entry.song_id):
             score_song(entry, estimates)
