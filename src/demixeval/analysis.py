@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedCorrelationError
+from .errors import InvalidInputError, UndefinedCorrelationError, context
 from .metrics import MetricId
 
 RowKey = tuple  # (system_id, song_id, stem)
@@ -212,41 +212,35 @@ def read_metric_table_csv(path) -> MetricTable:
     """Parse a metric table written by metric_table_to_csv.
 
     Header: system_id,song_id,stem,<metric>,... Empty cells mean the metric
-    is absent for that row.
+    is absent for that row. A refusal names the file, then the line if it has one.
     """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc})") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidInputError(f"{path}: empty table") from None
-    if tuple(header[:3]) != METRIC_TABLE_KEY_COLUMNS:
-        raise InvalidInputError(
-            f"{path}: header must start with {','.join(METRIC_TABLE_KEY_COLUMNS)}"
-        )
-    try:
-        columns = tuple(MetricId(name) for name in header[3:])
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: unknown metric column ({exc})") from None
-    try:
-        table = MetricTable(columns=columns)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-    for line_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3 + len(columns):
-            raise InvalidInputError(f"{path}: line {line_number} has {len(row)} fields")
+    with context(f"{path}: "):
         try:
-            values = {
-                metric: float(cell)
-                for metric, cell in zip(columns, row[3:])
-                if cell != ""
-            }
-            table.add_row(tuple(row[:3]), values)
-        except ValueError as exc:  # add_row's InvalidInputError is a ValueError too
-            raise InvalidInputError(f"{path}: line {line_number}: {exc}") from None
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"not UTF-8 text ({exc})") from None
+        reader = csv.reader(io.StringIO(text))
+        try:
+            if (header := next(reader, None)) is None:
+                raise InvalidInputError("empty table")
+            if tuple(header[:3]) != METRIC_TABLE_KEY_COLUMNS:
+                raise InvalidInputError(f"header must start with {','.join(METRIC_TABLE_KEY_COLUMNS)}")
+            try:
+                columns = tuple(MetricId(name) for name in header[3:])
+            except ValueError as exc:
+                raise InvalidInputError(f"unknown metric column ({exc})") from None
+            table = MetricTable(columns=columns)
+            for line_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3 + len(columns):
+                    raise InvalidInputError(f"line {line_number} has {len(row)} fields")
+                with context(f"line {line_number}: "):
+                    try:
+                        values = {metric: float(cell) for metric, cell in zip(columns, row[3:]) if cell != ""}
+                    except ValueError as exc:
+                        raise InvalidInputError(str(exc)) from None
+                    table.add_row(tuple(row[:3]), values)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise InvalidInputError(f"line {reader.line_num}: {exc}") from None
     return table

@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     ManifestError,
     UnsupportedCodecError,
+    context,
 )
 
 _WAVE_PCM = 1
@@ -119,7 +120,7 @@ def read_wav_header(path) -> WavHeader:
     which needs the samples.
     """
     path = Path(path)
-    with open(path, "rb") as handle:
+    with context(f"{path}: "), open(path, "rb") as handle:
         return _parse_header(handle, path)
 
 
@@ -128,7 +129,7 @@ def _parse_header(handle, path: Path) -> WavHeader:
     size = os.fstat(handle.fileno()).st_size
     head = handle.read(12)
     if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
+        raise AudioFormatError("not a RIFF/WAVE file")
 
     fmt = None
     data_span = None
@@ -138,10 +139,10 @@ def _parse_header(handle, path: Path) -> WavHeader:
         chunk_id, chunk_size = struct.unpack("<4sI", handle.read(8))
         body = pos + 8
         if (chunk_id == b"fmt " and fmt) or (chunk_id == b"data" and data_span):
-            raise AudioFormatError(f"{path}: duplicate {chunk_id.decode()!r} chunk")
+            raise AudioFormatError(f"duplicate {chunk_id.decode()!r} chunk")
         if chunk_id == b"fmt ":
             if chunk_size < 16 or body + 16 > size:
-                raise AudioFormatError(f"{path}: fmt chunk truncated")
+                raise AudioFormatError("fmt chunk truncated")
             fields = handle.read(40)
             fmt = struct.unpack_from("<HHIIHH", fields)
             if fmt[0] == _WAVE_EXTENSIBLE and chunk_size >= 40 and body + 40 <= size:
@@ -156,19 +157,19 @@ def _parse_header(handle, path: Path) -> WavHeader:
         pos = body + chunk_size + (chunk_size & 1)
 
     if fmt is None:
-        raise AudioFormatError(f"{path}: missing fmt chunk")
+        raise AudioFormatError("missing fmt chunk")
     if data_span is None:
-        raise AudioFormatError(f"{path}: missing data chunk")
+        raise AudioFormatError("missing data chunk")
 
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels < 1:
-        raise AudioFormatError(f"{path}: channel count {channels} is invalid")
+        raise AudioFormatError(f"channel count {channels} is invalid")
     if sample_rate < 1:
-        raise AudioFormatError(f"{path}: sample rate {sample_rate} is invalid")
+        raise AudioFormatError(f"sample rate {sample_rate} is invalid")
 
     start, data_size = data_span
     if start + data_size > size:
-        raise CorruptFileError(_ends_early(path, data_size))
+        raise CorruptFileError(_ends_early(data_size))
 
     if format_tag == _WAVE_PCM and bits == 16:
         width = 2
@@ -177,17 +178,15 @@ def _parse_header(handle, path: Path) -> WavHeader:
     elif format_tag == _WAVE_IEEE_FLOAT and bits == 32:
         width = 4
     else:
-        raise UnsupportedCodecError(
-            f"{path}: format tag {format_tag} at {bits} bits is not supported "
-            "(expected PCM16, PCM24, or IEEE float32)"
-        )
+        raise UnsupportedCodecError(f"format tag {format_tag} at {bits} bits is not supported "
+                                    "(expected PCM16, PCM24, or IEEE float32)")
     if data_size % (width * channels) != 0:
-        raise CorruptFileError(f"{path}: data chunk holds a partial frame")
+        raise CorruptFileError("data chunk holds a partial frame")
     return WavHeader(path, channels, data_size // (width * channels), sample_rate, width, start)
 
 
-def _ends_early(path: Path, data_size: int) -> str:
-    return f"{path}: data chunk declares {data_size} bytes but the file ends early"
+def _ends_early(data_size: int) -> str:
+    return f"data chunk declares {data_size} bytes but the file ends early"
 
 
 # Spare bytes ahead of the payload in every read buffer: a PCM24 word starts
@@ -205,9 +204,7 @@ def _read_frames(handle, header: WavHeader, raw: np.ndarray, out: np.ndarray) ->
     count = channels * frames
     nbytes = count * header.sample_width
     if handle.readinto(memoryview(raw)[_PAD : _PAD + nbytes]) != nbytes:
-        raise CorruptFileError(
-            _ends_early(header.path, header.num_frames * channels * header.sample_width)
-        )
+        raise CorruptFileError(_ends_early(header.num_frames * channels * header.sample_width))
     if header.sample_width == 2:
         ints = np.frombuffer(raw, dtype="<i2", count=count, offset=_PAD)
         np.copyto(out, ints.reshape(frames, channels).T)
@@ -222,7 +219,7 @@ def _read_frames(handle, header: WavHeader, raw: np.ndarray, out: np.ndarray) ->
     else:
         floats = np.frombuffer(raw, dtype="<f4", count=count, offset=_PAD)
         if not np.isfinite(floats).all():
-            raise CorruptFileError(f"{header.path}: float data contains NaN or Inf")
+            raise CorruptFileError("float data contains NaN or Inf")
         np.copyto(out, floats.reshape(frames, channels).T)
     return out
 
@@ -257,7 +254,7 @@ def read_wav_blocks(header: WavHeader, block_frames: int) -> Iterator[np.ndarray
     frame_bytes = header.num_channels * header.sample_width
     raw = np.empty(_PAD + block_frames * frame_bytes, dtype=np.uint8)
     out = np.empty((header.num_channels, block_frames))
-    with open(header.path, "rb") as handle:
+    with context(f"{header.path}: "), open(header.path, "rb") as handle:
         handle.seek(header.data_offset)
         for start in range(0, header.num_frames, block_frames):
             count = min(block_frames, header.num_frames - start)
@@ -334,10 +331,10 @@ def write_wav(waveform: Waveform, path) -> None:
     write_wav_blocks([path], waveform.num_channels, waveform.num_frames, waveform.sample_rate, [waveform.samples[None]])
 
 
-def check_song_id(song_id: str, where: str = "") -> None:
-    """ManifestError, its message led by where, unless song_id can name a directory and a CSV cell."""
+def check_song_id(song_id: str) -> None:
+    """ManifestError unless song_id can name a directory and a CSV cell."""
     if not isinstance(song_id, str) or song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
-        raise ManifestError(f"{where}song_id {song_id!r} must be a non-empty name, "
+        raise ManifestError(f"song_id {song_id!r} must be a non-empty name, "
                             "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
 
 
@@ -404,65 +401,68 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _read_json(path, error: type):
+    """The JSON value in the file at path; error("not valid JSON (...)") if Python cannot decode it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise error(f"not valid JSON ({exc})") from None
+
+
+def _file_path(base: Path, value, what: str) -> Path:
+    """base / value, if value is a JSON string without NUL; else a ManifestError."""
+    if "\0" in _typed(value, str, what):
+        raise ManifestError(f"{what} must not contain NUL")
+    return base / value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest.
 
     File paths inside the manifest are resolved relative to the manifest's
     directory. Songs keep file order. See the README for the full format;
-    the metadata no command reads is type-checked, then dropped.
+    the metadata no command reads is type-checked, then dropped. A refusal
+    names the file, then the song or song record it is about, if any.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: top level must be an object")
-    for key in ("name", "sample_rate", "songs"):
-        if key not in doc:
-            raise ManifestError(f"{path}: missing top-level key {key!r}")
-    base = path.parent
-
-    songs = []
-    for index, record in enumerate(_typed(doc["songs"], list, f"{path}: songs")):
-        if not isinstance(record, dict):
-            raise ManifestError(f"{path}: song record {index} must be an object")
-        if "song_id" not in record:
-            raise ManifestError(f"{path}: song record {index} has no song_id")
-        song_id = _typed(record["song_id"], str, f"{path}: song record {index}: song_id")
-        check_song_id(song_id, f"{path}: song record {index}: ")
-        stems_doc = record.get("stems")
-        if not isinstance(stems_doc, dict):
-            raise ManifestError(f"song {song_id}: missing stems object")
-        stem_paths = {}
-        for key, value in stems_doc.items():
-            stem_paths[StemKind.from_name(key)] = base / _typed(value, str, f"song {song_id}: stem {key!r} path")
-        if "mixture" not in record:
-            raise ManifestError(f"song {song_id}: missing mixture path")
-        silent_names = _typed(record.get("silent_stems", []), list, f"song {song_id}: silent_stems")
-        silent = frozenset(StemKind.from_name(name) for name in silent_names)
-        try:
-            mixture_path = base / _typed(record["mixture"], str, f"song {song_id}: mixture path")
-            for key in ("genre", "language", "title"):
-                _typed(record.get(key, ""), str, f"song {song_id}: {key}")
-            for item in _typed(record.get("other_instruments", []), list, f"song {song_id}: other_instruments"):
-                _typed(item, str, f"song {song_id}: other_instruments item")
-            entry = SongEntry(
-                song_id=song_id,
-                stem_paths=stem_paths,
-                mixture_path=mixture_path,
-                is_demo=_typed(record.get("is_demo", False), bool, f"song {song_id}: is_demo"),
-                silent_stems=silent,
-            )
-        except ManifestError as exc:
-            raise ManifestError(f"{path}: {exc}") from None
-        songs.append(entry)
-
-    sample_rate = _typed(doc["sample_rate"], int, f"{path}: sample_rate")
-    _typed(doc["name"], str, f"{path}: name")
-    manifest = DatasetManifest(tuple(songs))  # an empty song list is reported before the rate
-    if sample_rate <= 0:
-        raise ManifestError("manifest sample_rate must be positive")
+    with context(f"{path}: "):
+        doc = _read_json(path, ManifestError)
+        if not isinstance(doc, dict):
+            raise ManifestError("top level must be an object")
+        for key in ("name", "sample_rate", "songs"):
+            if key not in doc:
+                raise ManifestError(f"missing top-level key {key!r}")
+        base = path.parent
+        songs = []
+        for index, record in enumerate(_typed(doc["songs"], list, "songs")):
+            if not isinstance(record, dict):
+                raise ManifestError(f"song record {index} must be an object")
+            if "song_id" not in record:
+                raise ManifestError(f"song record {index} has no song_id")
+            with context(f"song record {index}: "):
+                song_id = _typed(record["song_id"], str, "song_id")
+                check_song_id(song_id)
+            with context(f"song {song_id}: "):
+                if not isinstance(stems_doc := record.get("stems"), dict):
+                    raise ManifestError("missing stems object")
+                stem_paths = {}
+                for key, value in stems_doc.items():
+                    stem_paths[StemKind.from_name(key)] = _file_path(base, value, f"stem {key!r} path")
+                if "mixture" not in record:
+                    raise ManifestError("missing mixture path")
+                silent = frozenset(map(StemKind.from_name, _typed(record.get("silent_stems", []), list, "silent_stems")))
+                mixture_path = _file_path(base, record["mixture"], "mixture path")
+                for key in ("genre", "language", "title"):
+                    _typed(record.get(key, ""), str, key)
+                for item in _typed(record.get("other_instruments", []), list, "other_instruments"):
+                    _typed(item, str, "other_instruments item")
+                is_demo = _typed(record.get("is_demo", False), bool, "is_demo")
+            songs.append(SongEntry(song_id, stem_paths, mixture_path, is_demo, silent))  # names its song
+        sample_rate = _typed(doc["sample_rate"], int, "sample_rate")
+        _typed(doc["name"], str, "name")
+        manifest = DatasetManifest(tuple(songs))  # an empty song list is reported before the rate
+        if sample_rate <= 0:
+            raise ManifestError("manifest sample_rate must be positive")
     return manifest
 
 

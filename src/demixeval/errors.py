@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `context`, which names a refusal's file, song or line."""
+
+import contextlib
 
 
 class DemixEvalError(Exception):
@@ -43,3 +45,12 @@ class MissingSubmissionError(DemixEvalError):
 
 class EvaluationError(DemixEvalError):
     """One or more songs failed to evaluate; the message lists every failure."""
+
+
+@contextlib.contextmanager
+def context(prefix: str):
+    """Re-raise a DemixEvalError from the block as its own type, message led by prefix; others pass untouched."""
+    try:
+        yield
+    except DemixEvalError as exc:
+        raise type(exc)(prefix + str(exc)) from None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import multiprocessing
 import re
@@ -24,13 +23,14 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, _typed, read_wav_header
+from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, read_wav_header
 from .errors import (
     EvaluationError,
     InvalidInputError,
     ManifestError,
     MissingEstimateError,
     MissingSubmissionError,
+    context,
 )
 from .metrics import MetricConfig, streamed_sdr
 
@@ -449,10 +449,7 @@ def load_score_document(path) -> dict:
     rule alone.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
-    try:
+        doc = _read_json(path, InvalidInputError)
         rounds = _check_rounds([_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")])
         seed = _typed(doc["seed"], int, "seed")
         _check_seed(seed)
@@ -502,12 +499,10 @@ def load_score_document(path) -> dict:
     # after every type check, so a mistyped document is refused for its type first
     document["scores"] = []
     for mean, fields in records:
-        try:
+        with context(f"{path}: song {fields['song_id']}: "):
             score = SongScore(**fields)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: song {fields['song_id']}: {exc}") from None
         document["scores"].append(score)
     return document
 

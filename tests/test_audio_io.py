@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -28,6 +29,7 @@ from demixeval.errors import (
     InvalidInputError,
     ManifestError,
     UnsupportedCodecError,
+    context,
 )
 
 from helpers import decode_wav_reference, pcm24_bytes_loop, write_float32_wav, write_pcm_wav
@@ -553,8 +555,14 @@ class TestManifest:
         assert [f.name for f in dataclasses.fields(DatasetManifest)] == ["songs"]
 
     def test_empty_song_list_reported_before_rate(self, tmp_path):
-        with pytest.raises(ManifestError, match="^manifest must list at least one song$"):
-            load_manifest(_write_manifest(tmp_path, [], rate=0))
+        path = _write_manifest(tmp_path, [], rate=0)
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: manifest must list at least one song$"):
+            load_manifest(path)
+
+    def test_nul_in_mixture_path_refused(self, tmp_path):
+        path = _write_manifest(tmp_path, [_song_record("a", mixture="a/mi\0x.wav")])
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: song a: mixture path must not contain NUL$"):
+            load_manifest(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -681,3 +689,18 @@ def test_pcm24_writer_matches_sample_loop(tmp_path):
     raw = path.read_bytes()
     start = raw.index(b"data") + 8
     assert raw[start : start + values.size * 3] == pcm24_bytes_loop(values)
+
+
+class TestErrorContext:
+    def test_prefix_keeps_type_and_nests(self):
+        with pytest.raises(CorruptFileError, match=r"^f\.wav: line 3: data chunk holds a partial frame$") as excinfo:
+            with context("f.wav: "), context("line 3: "):
+                raise CorruptFileError("data chunk holds a partial frame")
+        assert type(excinfo.value) is CorruptFileError
+
+    def test_other_errors_pass_unchanged(self):
+        error = OSError(2, "No such file or directory", "f.wav")
+        with pytest.raises(OSError) as excinfo:
+            with context("f.wav: "):
+                raise error
+        assert excinfo.value is error

@@ -470,10 +470,10 @@ def test_plan_non_integer_sample_rate(dataset, tmp_path, capsys):
     _assert_error_line(capsys)
 
 
-def _assert_one_error_line(capsys, message):
+def _assert_one_error_line(capsys, message, prefix="error: "):
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
     assert message in captured.err
     assert "Traceback" not in captured.err
@@ -528,10 +528,32 @@ def _set(*keys, value):
     return edit
 
 
+def _drop(*keys):
+    """An edit of a JSON document that deletes doc[keys[0]][keys[1]]..."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+def _latin1_title(doc):
+    doc["songs"][0]["title"] = "Caf\u00e9"
+    return json.dumps(doc, ensure_ascii=False).encode("latin-1")
+
+
+def _rate_of_5000_digits(doc):
+    doc["sample_rate"] = 0
+    return json.dumps(doc).replace('"sample_rate": 0', '"sample_rate": ' + "9" * 5000).encode()
+
+
+_DEEP_JSON = b"[" * 200000 + b"]" * 200000  # past the decoder's recursion limit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ("latin-1", "not valid JSON ('utf-8' codec can't decode"),
+        (_latin1_title, "not valid JSON ('utf-8' codec can't decode"),
         (_set("songs", value=5), "songs must be a JSON list, got 5"),
         (_set("songs", 0, "stems", "bass", value=3), "stem 'bass' path must be a JSON string, got 3"),
         (_set("songs", 0, "mixture", value=["mix.wav"]), "mixture path must be a JSON string, got ['mix.wav']"),
@@ -541,7 +563,8 @@ def _set(*keys, value):
         (_set("songs", 0, "silent_stems", value="bass"), "silent_stems must be a JSON list, got 'bass'"),
         (_set("songs", 0, "silent_stems", value=[3]), "unknown stem kind 3"),
         (_set("songs", 0, "is_demo", value="false"), "is_demo must be a JSON boolean, got 'false'"),
-        ("table", "not UTF-8 text ('utf-8' codec can't decode"),
+        ("system_id,song_id,stem,global_sdr\nsyst\u00e8me,a,bass,1.0\n".encode("latin-1"),
+         "not UTF-8 text ('utf-8' codec can't decode"),
         (_set("songs", 0, "song_id", value=["a"]), "song record 0: song_id must be a JSON string, got ['a']"),
         (_set("songs", 0, "song_id", value=7), "song record 0: song_id must be a JSON string, got 7"),
         (_set("sample_rate", value=4000.9), "sample_rate must be a JSON integer, got 4000.9"),
@@ -555,28 +578,37 @@ def _set(*keys, value):
          "song syn_000: other_instruments item must be a JSON string, got None"),
         (_set("name", value=None), "name must be a JSON string, got None"),
         (_set("sample_rate", value=0), "manifest sample_rate must be positive"),
+        (_drop("songs", 0, "stems"), "song syn_000: missing stems object"),
+        (_drop("songs", 0, "mixture"), "song syn_000: missing mixture path"),
+        (_set("songs", 0, "stems", "piano", value="syn_000/piano.wav"), "song syn_000: unknown stem kind 'piano'"),
+        (lambda doc: doc["songs"].append(doc["songs"][0]), "duplicate song_id 'syn_000'"),
+        (_set("songs", value=[]), "manifest must list at least one song"),
+        (_set("songs", 0, "stems", "bass", value="syn_000/ba\u0000ss.wav"),
+         "song syn_000: stem 'bass' path must not contain NUL"),
+        (lambda doc: _DEEP_JSON, "not valid JSON (maximum recursion depth exceeded"),
+        (_rate_of_5000_digits, "not valid JSON (Exceeds the limit (4300 digits)"),
+        (b"system_id,song_id,stem,global_sdr\ns,a,bass," + b"1" * 200000 + b"\n",
+         "line 2: field larger than field limit (131072)"),
     ],
     ids=["manifest-latin-1", "songs", "stem-path", "mixture", "other-int", "other-str",
          "silent-int", "silent-str", "silent-member", "is-demo-str", "table-latin-1",
          "song-id-list", "song-id-int", "rate-fraction", "rate-float", "rate-str", "rate-bool",
-         "title-null", "genre-list", "language-int", "other-member-null", "name-null", "rate-zero"],
+         "title-null", "genre-list", "language-int", "other-member-null", "name-null", "rate-zero",
+         "stems-missing", "mixture-missing", "stem-piano", "song-repeated", "songs-empty", "stem-path-nul",
+         "deep-nesting", "rate-5000-digits", "table-cell-over-limit"],
 )
 def test_malformed_manifest_or_table_ends_in_error(dataset, tmp_path, capsys, edit, message):
+    """edit is a metric table's bytes, or edits the synthetic manifest in place or returns its bytes."""
     path = tmp_path / "input"
-    if edit == "table":
-        path.write_bytes("system_id,song_id,stem,global_sdr\nsyst\u00e8me,a,bass,1.0\n".encode("latin-1"))
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
         args = ["analyze", "--table", str(path), "--kind", "pearson"]
     else:
         doc = json.loads(dataset.read_text())
-        if edit == "latin-1":
-            doc["songs"][0]["title"] = "Caf\u00e9"
-            path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
-        else:
-            edit(doc)
-            path.write_text(json.dumps(doc))
+        path.write_bytes(edit(doc) or json.dumps(doc).encode())
         args = ["plan", "--manifest", str(path), "--seed", "0"]
     assert run(args) == 1
-    _assert_one_error_line(capsys, message)
+    _assert_one_error_line(capsys, message, prefix=f"error: {path}: ")
 
 
 @pytest.fixture(scope="module")
@@ -623,6 +655,13 @@ def test_rank_rejects_mistyped_score_document(score_document, tmp_path, capsys, 
     capsys.readouterr()
     assert run(["rank", "--scores", str(path)]) == 1
     _assert_one_error_line(capsys, message)
+
+
+def test_rank_refuses_json_too_deep_to_decode(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(_DEEP_JSON)
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_one_error_line(capsys, "not valid JSON (maximum recursion depth exceeded", prefix=f"error: {path}: ")
 
 
 def _drop_vocals_and_exclude_it(doc):
