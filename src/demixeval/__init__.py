@@ -39,8 +39,8 @@ _EXPORTS = {
     "harness": (
         "Leaderboard",
         "LeaderboardEntry",
+        "ScoreDocument",
         "SongScore",
-        "SubmissionDescriptor",
         "evaluate_submission",
         "plan_rounds",
         "rank",

@@ -391,14 +391,25 @@ class DatasetManifest:
         return [s for s in self.songs if not s.is_demo]
 
 
+def _text(value: str, what: str, error: type = ManifestError) -> str:
+    """value, if it encodes as UTF-8; else error. A lone surrogate, which a JSON
+    \\ud800 escape or an undecodable byte in an argument leaves in a str, does not,
+    so no file or stream could take it."""
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise error(f"{what} must be valid Unicode text") from None
+    return value
+
+
 def _typed(value, kind: type, what: str):
     """value, if it has the JSON type kind (list, str, bool, int, or float for
-    any number); else a ManifestError."""
+    any number) and, as a str, is valid Unicode text; else a ManifestError."""
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
         name = {list: "list", str: "string", bool: "boolean", int: "integer", float: "number"}[kind]
         raise ManifestError(f"{what} must be a JSON {name}, got {value!r}")
-    return value
+    return _text(value, what) if kind is str else value
 
 
 def _read_json(path, error: type):

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, load_manifest, read_wav_header, remove_unfinished_writes,
-                       validate_song_audio, write_wav_blocks)
+from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, load_manifest, read_wav_header,
+                       remove_unfinished_writes, validate_song_audio, write_wav_blocks)
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
 
@@ -58,14 +58,9 @@ def cmd_score(args) -> int:
         rounds = {int(part) for part in args.rounds.split(",") if part.strip()}
     except ValueError:
         raise InvalidInputError(f"cannot parse rounds {args.rounds!r}, expected e.g. {_ALL_ROUNDS}") from None
-    cfg = MetricConfig(epsilon=args.epsilon)
-    submission = harness.SubmissionDescriptor(
-        system_id=args.system,
-        leaderboard=harness.Leaderboard(args.leaderboard),
-        training_data_declaration=args.training_data,
-        estimates_root=Path(args.estimates),
-    )
-    document = harness.evaluate_submission(submission, manifest, rounds, args.seed, cfg, jobs=args.jobs)
+    # every rule is checked before any audio is read
+    document = harness.ScoreDocument(args.system, args.leaderboard, args.training_data, rounds, args.seed, args.epsilon)
+    document = harness.evaluate_submission(document, manifest, args.estimates, jobs=args.jobs)
     _print_config(
         "score",
         [
@@ -74,7 +69,7 @@ def cmd_score(args) -> int:
             ("system", args.system),
             ("leaderboard", args.leaderboard),
             ("training_data", args.training_data),
-            ("rounds", ",".join(str(r) for r in sorted(document["rounds"]))),
+            ("rounds", ",".join(str(r) for r in sorted(document.rounds))),
             ("seed", args.seed),
             ("epsilon", format(args.epsilon, "g")),
             ("jobs", args.jobs),
@@ -98,8 +93,8 @@ def cmd_rank(args) -> int:
         "rank",
         [
             ("scores", ",".join(str(p) for p in args.scores)),
-            ("leaderboard", documents[0]["leaderboard"].value),  # rank checked they agree
-            ("rounds", ",".join(str(r) for r in sorted(documents[0]["rounds"]))),  # likewise
+            ("leaderboard", documents[0].leaderboard.value),  # rank checked they agree
+            ("rounds", ",".join(str(r) for r in sorted(documents[0].rounds))),  # likewise
             ("out", args.out if args.out else ""),
         ],
     )
@@ -285,11 +280,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        # printed raw, a CR or LF in an argument would forge an output line
+        # printed raw, a CR or LF in an argument would forge an output line, and
+        # text that is not valid Unicode could not be printed at all
         for name, value in vars(args).items():
             for item in value if isinstance(value, list) else [value]:
-                if isinstance(item, str) and ("\r" in item or "\n" in item):
-                    raise InvalidInputError(f"--{name.replace('_', '-')} must not contain CR or LF, got {item!r}")
+                if isinstance(item, str):
+                    flag = f"--{name.replace('_', '-')}"
+                    if "\r" in item or "\n" in item:
+                        raise InvalidInputError(f"{flag} must not contain CR or LF, got {item!r}")
+                    _text(item, flag, InvalidInputError)
         return args.func(args)
     except (DemixEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import io
 import math
 import multiprocessing
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -53,46 +53,6 @@ def _check_seed(seed: int) -> None:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
-def _check_rounds(rounds) -> frozenset:
-    """rounds as a frozenset, if they are a non-empty selection of ROUNDS."""
-    rounds = frozenset(rounds)
-    if not rounds or not rounds <= set(ROUNDS):
-        raise InvalidInputError(
-            f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {sorted(rounds)}"
-        )
-    return rounds
-
-
-def _check_entrant(system_id: str, leaderboard: Leaderboard, declaration: str) -> None:
-    """A system's rules, in a submission or a score document: a non-empty system_id and,
-    on leaderboard A, a training data declaration naming only MUSDB18 or MUSDB18-HQ."""
-    if not system_id:
-        raise InvalidInputError("system_id must be non-empty")
-    if leaderboard is not Leaderboard.A:
-        return
-    parts = [p.strip() for p in re.split(r"[+,]", declaration)]
-    parts = [p for p in parts if p]
-    if not parts or any(p.lower() not in _BOARD_A_DATASETS for p in parts):
-        raise InvalidInputError(
-            f"system {system_id}: leaderboard A requires a training data "
-            f"declaration naming only MUSDB18 or MUSDB18-HQ, got {declaration!r}"
-        )
-
-
-@dataclass(frozen=True)
-class SubmissionDescriptor:
-    """One system's declared track and estimate location."""
-
-    system_id: str
-    leaderboard: Leaderboard
-    training_data_declaration: str
-    estimates_root: Path
-
-    def __post_init__(self) -> None:
-        _check_entrant(self.system_id, self.leaderboard, self.training_data_declaration)
-        object.__setattr__(self, "estimates_root", Path(self.estimates_root))
-
-
 @dataclass(frozen=True)
 class SongScore:
     """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
@@ -126,6 +86,51 @@ class SongScore:
         silent stem excluded."""
         kept = [v for k, v in self.per_stem.items() if k not in self.excluded_stems]
         return sum(kept) / len(kept)
+
+
+@dataclass(frozen=True)
+class ScoreDocument:
+    """One system's SongScores (a tuple) over a round plan, with its declared track.
+
+    Its rules, checked in this order, raise InvalidInputError: rounds is a
+    non-empty selection of ROUNDS (kept as a frozenset), seed is >= 0, no
+    song_id repeats, MetricConfig accepts epsilon, system_id is non-empty and,
+    on leaderboard A, the declaration names only MUSDB18 or MUSDB18-HQ.
+    """
+
+    system_id: str
+    leaderboard: Leaderboard
+    training_data_declaration: str
+    rounds: frozenset
+    seed: int
+    epsilon: float
+    scores: Sequence[SongScore] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "leaderboard", Leaderboard(self.leaderboard))
+        rounds = frozenset(self.rounds)
+        if not rounds or not rounds <= set(ROUNDS):
+            raise InvalidInputError(
+                f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {sorted(rounds)}"
+            )
+        object.__setattr__(self, "rounds", rounds)
+        _check_seed(self.seed)
+        object.__setattr__(self, "scores", tuple(self.scores))
+        seen = set()
+        for score in self.scores:
+            if score.song_id in seen:
+                raise InvalidInputError(f"repeated song_id {score.song_id!r}")
+            seen.add(score.song_id)
+        MetricConfig(self.epsilon)
+        if not self.system_id:
+            raise InvalidInputError("system_id must be non-empty")
+        if self.leaderboard is Leaderboard.A:
+            named = {part.strip().lower() for part in re.split(r"[+,]", self.training_data_declaration)} - {""}
+            if not named or not named <= _BOARD_A_DATASETS:
+                raise InvalidInputError(
+                    f"system {self.system_id}: leaderboard A requires a training data "
+                    f"declaration naming only MUSDB18 or MUSDB18-HQ, got {self.training_data_declaration!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -218,65 +223,57 @@ def _score_task(task):
 
 
 def evaluate_submission(
-    submission: SubmissionDescriptor,
+    document: ScoreDocument,
     manifest: DatasetManifest,
-    rounds,
-    seed: int,
-    cfg: MetricConfig = MetricConfig(),
+    estimates_root,
     jobs: int = 1,
-) -> dict:
-    """Score every non-demo song that plan_rounds(manifest, seed) puts in rounds, in
-    manifest order, into the document rank takes, keyed as load_score_document's.
+) -> ScoreDocument:
+    """document with its scores replaced: every non-demo song that
+    plan_rounds(manifest, document.seed) puts in document.rounds, in manifest
+    order, scored with document.epsilon against the estimates at
+    estimates_root/<song_id>/<stem>.wav.
 
     All missing estimate files are listed up front in one
     MissingSubmissionError. Per-song scoring failures are collected and
     raised together as an EvaluationError, never silently skipped.
     """
-    plan = plan_rounds(manifest, seed)
-    rounds = _check_rounds(rounds)
-    root = submission.estimates_root
+    plan = plan_rounds(manifest, document.seed)
+    root = Path(estimates_root)
+    cfg = MetricConfig(document.epsilon)
     tasks = [
         (song, {kind: root / song.song_id / f"{kind.value}.wav" for kind in StemKind}, cfg)
         for song in manifest.eligible_songs()
-        if plan[song.song_id] in rounds
+        if plan[song.song_id] in document.rounds
     ]
     gaps = [str(path) for _, estimates, _ in tasks for path in estimates.values() if not path.is_file()]
     if gaps:
         raise MissingSubmissionError(
-            f"submission {submission.system_id} is missing {len(gaps)} estimate file(s):\n"
+            f"submission {document.system_id} is missing {len(gaps)} estimate file(s):\n"
             + "\n".join(gaps)
         )
     outcomes = fan_out(_score_task, tasks, jobs)
     failures = [(song_id, error) for song_id, _, error in outcomes if error is not None]
     if failures:
         raise EvaluationError(
-            f"submission {submission.system_id}: {len(failures)} song(s) failed:\n"
+            f"submission {document.system_id}: {len(failures)} song(s) failed:\n"
             + "\n".join(f"{song_id}: {error}" for song_id, error in failures)
         )
-    return {
-        "system_id": submission.system_id,
-        "leaderboard": submission.leaderboard,
-        "training_data_declaration": submission.training_data_declaration,
-        "rounds": rounds,
-        "seed": seed,
-        "epsilon": cfg.epsilon,
-        "scores": [score for _, score, _ in outcomes],
-    }
+    return replace(document, scores=[score for _, score, _ in outcomes])
 
 
-def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
-    """Rank the systems of score documents by mean per-song SDR.
+def rank(documents: Sequence[ScoreDocument], leaderboard=None) -> list:
+    """Rank the systems of ScoreDocuments by mean per-song SDR.
 
-    documents are evaluate_submission or load_score_document results. They may
-    be ranked together only if they declare one leaderboard (leaderboard, when
-    given), agree on epsilon and seed, name distinct systems, cover the same
-    non-empty set of non-demo songs, and agree on rounds; otherwise InvalidInputError,
-    checked in that order. Ties break on the Vocals, Drums, Bass, then Other
+    Each document has passed its own rules, so no song counts twice for a
+    system. They may be ranked together only if they declare one leaderboard
+    (leaderboard, when given), agree on epsilon and seed, name distinct
+    systems, cover the same non-empty set of non-demo songs, and agree on
+    rounds; otherwise InvalidInputError, checked in that order. Ties break on the Vocals, Drums, Bass, then Other
     stem means, then on system_id. Ranks are consecutive from 1.
     """
     if not documents:
         raise InvalidInputError("no systems to rank")
-    boards = sorted({doc["leaderboard"].value for doc in documents})
+    boards = sorted({doc.leaderboard.value for doc in documents})
     if leaderboard is not None:
         wanted = Leaderboard(leaderboard).value
         if boards != [wanted]:
@@ -289,15 +286,15 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
             "pass --leaderboard to disambiguate or rank them separately"
         )
     for field in ("epsilon", "seed"):
-        values = sorted({doc[field] for doc in documents})
+        values = sorted({getattr(doc, field) for doc in documents})
         if len(values) > 1:
             # a different stabilizer or round plan makes the scores incomparable
             raise InvalidInputError(f"score files disagree on {field}: {values}")
     usable = {}
     for doc in documents:
-        if doc["system_id"] in usable:
-            raise InvalidInputError(f"duplicate system_id {doc['system_id']!r}")
-        usable[doc["system_id"]] = [score for score in doc["scores"] if not score.excluded_song]
+        if doc.system_id in usable:
+            raise InvalidInputError(f"duplicate system_id {doc.system_id!r}")
+        usable[doc.system_id] = [score for score in doc.scores if not score.excluded_song]
     song_sets = {system_id: frozenset(s.song_id for s in scores) for system_id, scores in usable.items()}
     reference_set = next(iter(song_sets.values()))
     mismatched = sorted(sid for sid, songs in song_sets.items() if songs != reference_set)
@@ -307,7 +304,7 @@ def rank(documents: Sequence[Mapping], leaderboard=None) -> list:
         )
     if not reference_set:
         raise InvalidInputError("no scorable songs (every record is excluded)")
-    rounds = sorted(sorted(r) for r in {doc["rounds"] for doc in documents})
+    rounds = sorted(sorted(r) for r in {doc.rounds for doc in documents})
     if len(rounds) > 1:
         raise InvalidInputError(f"score files disagree on rounds: {rounds}")
 
@@ -375,19 +372,19 @@ def format_value(value: float) -> str:
     return format(value, ".6g")
 
 
-def scores_to_csv(document: Mapping) -> str:
-    """Render a score document's per-song scores as a CSV table (column order documented in README)."""
+def scores_to_csv(document: ScoreDocument) -> str:
+    """Render a ScoreDocument's per-song scores as a CSV table (column order documented in README)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCORE_CSV_COLUMNS)
-    for score in document["scores"]:
+    for score in document.scores:
         excluded = ";".join(
             f"{kind.value}:{reason}"
             for kind, reason in sorted(score.excluded_stems.items(), key=lambda kv: kv[0].value)
         )
         writer.writerow(
             [
-                document["system_id"],
+                document.system_id,
                 score.song_id,
                 *(format_value(score.per_stem[kind]) for kind in StemKind),
                 format_value(score.sdr_song),
@@ -398,15 +395,15 @@ def scores_to_csv(document: Mapping) -> str:
     return buffer.getvalue()
 
 
-def scores_to_document(document: Mapping) -> dict:
-    """A score document in its JSON form, which load_score_document reads back."""
+def scores_to_document(document: ScoreDocument) -> dict:
+    """A ScoreDocument in its JSON form, rounds sorted, which load_score_document reads back."""
     return {
-        "system_id": document["system_id"],
-        "leaderboard": document["leaderboard"].value,
-        "training_data_declaration": document["training_data_declaration"],
-        "rounds": sorted(document["rounds"]),
-        "seed": document["seed"],
-        "epsilon": document["epsilon"],
+        "system_id": document.system_id,
+        "leaderboard": document.leaderboard.value,
+        "training_data_declaration": document.training_data_declaration,
+        "rounds": sorted(document.rounds),
+        "seed": document.seed,
+        "epsilon": document.epsilon,
         "scores": [
             {
                 "song_id": score.song_id,
@@ -418,7 +415,7 @@ def scores_to_document(document: Mapping) -> dict:
                 "excluded_song": score.excluded_song,
                 "exclusion_reason": score.exclusion_reason,
             }
-            for score in document["scores"]
+            for score in document.scores
         ],
     }
 
@@ -431,80 +428,71 @@ def _finite(value, what: str) -> float:
     return value
 
 
-def load_score_document(path) -> dict:
-    """Read back a score document; returns the parsed dict with SongScores.
+def load_score_document(path) -> ScoreDocument:
+    """Read back a score document that scores_to_document wrote.
 
-    The result is keyed as evaluate_submission's, training_data_declaration ""
-    if absent on board B. A file that is not a score document raises
-    InvalidInputError: so do rounds that are not a non-empty list drawn from
-    ROUNDS, a seed that is not a JSON integer >= 0, a repeated song_id, a score
-    that is not a finite JSON number, an epsilon that MetricConfig refuses, an
-    excluded_song that is not a JSON boolean, an id, reason or declaration that
-    is not a JSON string, and an empty system_id. So does a leaderboard A
-    document with no training_data_declaration or one naming anything but
-    MUSDB18 or MUSDB18-HQ, and a song record without a value for every stem,
-    with every stem excluded, or whose sdr_song is not the mean of its kept
-    stems, bit for bit. Each message starts with the path; a field of the wrong
-    JSON type reads "malformed score document (...)", a broken rule gives the
-    rule alone.
+    A leaderboard B file without a training_data_declaration gives "". A file
+    that is not a score document raises InvalidInputError led by the path.
+    Every type check comes first: a missing field ("score document has no ...
+    field"), a field of the wrong JSON type, text that is not valid Unicode, an
+    unknown leaderboard or stem ("malformed score document (...)"), a score
+    that is not a finite number. The rules follow, each message the rule alone:
+    the ScoreDocument's in its order, then each song record's in file order:
+    its SongScore's, then a stored sdr_song that must equal the mean of its
+    kept stems, bit for bit.
     """
-    try:
-        doc = _read_json(path, InvalidInputError)
-        rounds = _check_rounds([_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")])
-        seed = _typed(doc["seed"], int, "seed")
-        _check_seed(seed)
-        records = []  # (stored sdr_song, SongScore fields)
-        seen = set()
-        for index, record in enumerate(_typed(doc["scores"], list, "scores")):
-            song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
-            if song_id in seen:
-                raise InvalidInputError(f"repeated song_id {song_id!r}")
-            seen.add(song_id)
-            song = f"song {song_id}"
-            values = {
-                StemKind(name): _finite(value, f"{song}: {name}")
-                for name, value in record["per_stem"].items()
-            }
-            excluded = {
-                StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
-                for name, reason in record.get("excluded_stems", {}).items()
-            }
-            records.append((
-                _finite(record["sdr_song"], f"{song}: sdr_song"),
-                dict(
-                    song_id=song_id,
-                    per_stem=values,
-                    excluded_stems=excluded,
-                    excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
-                    exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
-                ),
-            ))
-        document = {
-            "system_id": _typed(doc["system_id"], str, "system_id"),
-            "leaderboard": (board := Leaderboard(doc["leaderboard"])),
-            "training_data_declaration": _typed(  # required on board A only
-                doc.get("training_data_declaration", "") if board is Leaderboard.B else doc["training_data_declaration"],
-                str, "training_data_declaration"),
-            "rounds": rounds,
-            "seed": seed,
-            "epsilon": MetricConfig(float(_typed(doc["epsilon"], float, "epsilon"))).epsilon,
-        }
-        _check_entrant(document["system_id"], document["leaderboard"], document["training_data_declaration"])
-    except KeyError as exc:
-        raise InvalidInputError(f"{path}: score document has no {exc} field") from None
-    except InvalidInputError as exc:  # a rule, not a type: no "malformed"
-        raise InvalidInputError(f"{path}: {exc}") from None
-    except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: malformed score document ({exc})") from None
-    # after every type check, so a mistyped document is refused for its type first
-    document["scores"] = []
+    with context(f"{path}: "):
+        try:
+            doc = _read_json(path, InvalidInputError)
+            rounds = [_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")]
+            seed = _typed(doc["seed"], int, "seed")
+            records = []  # (stored sdr_song, SongScore fields)
+            for index, record in enumerate(_typed(doc["scores"], list, "scores")):
+                song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
+                song = f"song {song_id}"
+                values = {StemKind(name): _finite(value, f"{song}: {name}") for name, value in record["per_stem"].items()}
+                excluded = {
+                    StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
+                    for name, reason in record.get("excluded_stems", {}).items()
+                }
+                records.append((
+                    _finite(record["sdr_song"], f"{song}: sdr_song"),
+                    dict(
+                        song_id=song_id,
+                        per_stem=values,
+                        excluded_stems=excluded,
+                        excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
+                        exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
+                    ),
+                ))
+            header = dict(
+                system_id=_typed(doc["system_id"], str, "system_id"),
+                leaderboard=(board := Leaderboard(doc["leaderboard"])),
+                training_data_declaration=_typed(  # required on board A only
+                    doc.get("training_data_declaration", "") if board is Leaderboard.B else doc["training_data_declaration"],
+                    str, "training_data_declaration"),
+                rounds=rounds,
+                seed=seed,
+                epsilon=float(_typed(doc["epsilon"], float, "epsilon")),
+            )
+        except KeyError as exc:
+            raise InvalidInputError(f"score document has no {exc} field") from None
+        except InvalidInputError:  # not valid JSON, or a score that is not finite: no "malformed"
+            raise
+        except (ManifestError, AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed score document ({exc})") from None
+        # the document's rules come before any record's own, so check them first
+        # on records that keep only their song_id
+        document = ScoreDocument(**header, scores=[
+            SongScore(fields["song_id"], dict.fromkeys(StemKind, 0.0), {}) for _, fields in records])
+    scores = []
     for mean, fields in records:
         with context(f"{path}: song {fields['song_id']}: "):
             score = SongScore(**fields)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
-        document["scores"].append(score)
-    return document
+        scores.append(score)
+    return replace(document, scores=scores)
 
 
 def leaderboard_to_csv(entries: Sequence[LeaderboardEntry]) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from demixeval.audio_io import Waveform
-from demixeval.harness import Leaderboard
+from demixeval.harness import Leaderboard, ScoreDocument
 
 
 def noise_waveform(rng, channels=2, frames=4000, rate=8000, scale=0.1):
@@ -172,19 +172,10 @@ def average_ranks_loop(values):
 
 def score_documents(results, leaderboard=Leaderboard.B, epsilon=1e-7, seed=0, rounds=(1, 2, 3),
                     declaration="MUSDB18-HQ"):
-    """{system_id: [SongScore, ...]} as score documents, one per system, in the
-    form evaluate_submission and load_score_document return: the input of
-    harness.rank, scores_to_csv and scores_to_document."""
+    """{system_id: [SongScore, ...]} as ScoreDocuments, one per system: the
+    input of harness.rank, scores_to_csv and scores_to_document."""
     return [
-        {
-            "system_id": system_id,
-            "leaderboard": leaderboard,
-            "training_data_declaration": declaration,
-            "rounds": frozenset(rounds),
-            "seed": seed,
-            "epsilon": epsilon,
-            "scores": list(scores),
-        }
+        ScoreDocument(system_id, leaderboard, declaration, rounds, seed, epsilon, scores)
         for system_id, scores in results.items()
     ]
 

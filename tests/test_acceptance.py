@@ -15,8 +15,8 @@ from demixeval.audio_io import SongEntry, StemKind, Waveform, load_manifest, rea
 from demixeval.cli import run
 from demixeval.harness import (
     Leaderboard,
+    ScoreDocument,
     SongScore,
-    SubmissionDescriptor,
     evaluate_submission,
     plan_rounds,
     rank,
@@ -297,13 +297,14 @@ def test_criterion_09_round_mechanics(tmp_path):
         mixture = read_wav(entry.mixture_path)
         for kind in StemKind:
             write_wav(mixture, song_dir / f"{kind.value}.wav")
-    submission = SubmissionDescriptor("base", Leaderboard.B, "none", estimates_root)
+    def submission(rounds):
+        return ScoreDocument("base", Leaderboard.B, "none", rounds, 13, MetricConfig().epsilon)
 
-    full = evaluate_submission(submission, manifest, {1, 2, 3}, 13)["scores"]
+    full = list(evaluate_submission(submission({1, 2, 3}), manifest, estimates_root).scores)
     assert len(full) == 27
     union = []
     for round_number in (1, 2, 3):
-        union.extend(evaluate_submission(submission, manifest, {round_number}, 13)["scores"])
+        union.extend(evaluate_submission(submission({round_number}), manifest, estimates_root).scores)
     order = {song.song_id: i for i, song in enumerate(manifest.songs)}
     union.sort(key=lambda score: order[score.song_id])
     assert union == full

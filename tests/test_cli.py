@@ -9,8 +9,8 @@ import pytest
 from demixeval.analysis import DEFAULT_CORRELATION_THRESHOLD, CorrelationKind, MetricTable, metric_table_to_csv
 from demixeval.audio_io import DEFAULT_MIX_TOLERANCE, StemKind, Waveform, load_manifest, read_wav, write_wav
 from demixeval.cli import build_parser, run
-from demixeval.harness import (ROUNDS, Leaderboard, SubmissionDescriptor, evaluate_submission, load_score_document,
-                               rank, scores_to_document)
+from demixeval.harness import (ROUNDS, Leaderboard, ScoreDocument, evaluate_submission, load_score_document, rank,
+                               scores_to_document)
 from demixeval.metrics import DEFAULT_EPSILON, MetricId
 from demixeval.oracle import KINDS, OracleConfig
 from demixeval.synth import make_dataset
@@ -186,8 +186,8 @@ def test_score_document_reserializes_to_its_own_bytes(silent_bass_scores):
 
 def test_rank_takes_evaluate_submission_as_it_takes_its_score_file(silent_bass_scores):
     manifest, path = silent_bass_scores
-    submission = SubmissionDescriptor("refs", Leaderboard.A, "MUSDB18-HQ", manifest.parent)
-    document = evaluate_submission(submission, load_manifest(manifest), ROUNDS, 2)
+    submission = ScoreDocument("refs", Leaderboard.A, "MUSDB18-HQ", ROUNDS, 2, DEFAULT_EPSILON)
+    document = evaluate_submission(submission, load_manifest(manifest), manifest.parent)
     assert document == load_score_document(path)
     assert rank([document]) == rank([load_score_document(path)])
 
@@ -873,6 +873,69 @@ def test_rank_refuses_a_scores_path_with_a_line_break(score_document, tmp_path, 
         path.write_text(json.dumps({**score_document, "system_id": name}))
     assert run(["rank", "--scores", str(good), str(forged)]) == 1
     _assert_one_error_line(capsys, f"error: --scores must not contain CR or LF, got {str(forged)!r}\n")
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [("validate", ("songs", 0, "stems", "bass"), "syn_000/b\ud800.wav",
+      "song syn_000: stem 'bass' path must be valid Unicode text"),
+     ("plan", ("songs", 0, "song_id"), "s\ud800", "song record 0: song_id must be valid Unicode text")],
+    ids=["validate-stem-path", "plan-song-id"],
+)
+def test_manifest_text_that_cannot_be_printed_is_refused_at_load(dataset, tmp_path, capsys, command, field, value,
+                                                                  message):
+    # json.dumps writes the lone surrogate as the escape \ud800, which json.loads keeps
+    doc = json.loads(dataset.read_text())
+    _set(*field, value=value)(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--manifest", str(path), *(["--seed", "0"] if command == "plan" else [])]) == 1
+    _assert_one_error_line(capsys, message, prefix=f"error: {path}: ")
+
+
+def test_rank_refuses_a_system_id_that_cannot_be_printed(score_document, tmp_path, capsys):
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({**score_document, "system_id": "s\ud800"}))
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: malformed score document (system_id must be valid Unicode text)\n")
+
+
+def test_score_refuses_an_argument_that_is_not_unicode(dataset, baseline_submission, tmp_path):
+    # the byte 0xff reaches sys.argv as the lone surrogate \udcff
+    args = [sys.executable, "-m", "demixeval", "score", "--manifest", str(dataset), "--estimates",
+            str(baseline_submission), "--system", b"\xff", "--leaderboard", "B", "--jobs", "1",
+            "--out", str(tmp_path / "scores")]
+    result = subprocess.run(args, capture_output=True)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: --system must be valid Unicode text\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_score_checks_the_document_rules_before_the_manifests_song_count(dataset, baseline_submission, tmp_path,
+                                                                         capsys):
+    # each step's arguments still break every later rule: rounds, seed, epsilon, system_id,
+    # leaderboard A's declaration, then the round plan's song count
+    doc = json.loads(dataset.read_text())
+    doc["songs"] = doc["songs"][:2]
+    manifest = tmp_path / "two_songs.json"
+    manifest.write_text(json.dumps(doc))
+    named = {"--rounds": "7", "--seed": "-1", "--epsilon": "0", "--system": "", "--training-data": "private corpus"}
+    steps = [
+        ("rounds must be a non-empty list drawn from 1, 2, 3, got [7]", "--rounds", "1"),
+        ("seed must be >= 0, got -1", "--seed", "0"),
+        ("epsilon must be finite and > 0", "--epsilon", "1e-7"),
+        ("system_id must be non-empty", "--system", "s"),
+        ("system s: leaderboard A requires a training data declaration naming only MUSDB18 or MUSDB18-HQ, "
+         "got 'private corpus'", "--training-data", "MUSDB18"),
+        ("need at least 3 non-demo songs to plan rounds, got 2", None, None),
+    ]
+    for message, flag, mended in steps:
+        args = ["score", "--manifest", str(manifest), "--estimates", str(baseline_submission), "--leaderboard", "A",
+                "--jobs", "1", *(f"{k}={v}" for k, v in named.items())]
+        assert run(args) == 1
+        _assert_one_error_line(capsys, f"error: {message}\n")
+        if flag is not None:
+            named[flag] = mended
 
 
 def test_analyze_lists_tied_flagged_pairs_in_column_order(tmp_path, rng, capsys):

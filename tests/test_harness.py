@@ -2,6 +2,7 @@ import json
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from demixeval import harness
 from demixeval.harness import (
     Leaderboard,
     LeaderboardEntry,
+    ScoreDocument,
     SongScore,
-    SubmissionDescriptor,
     evaluate_submission,
     fan_out,
     leaderboard_to_csv,
@@ -193,17 +194,21 @@ def _write_baseline_submission(manifest, root):
             write_wav(mixture, song_dir / f"{kind.value}.wav")
 
 
+def _entry(rounds=(1, 2, 3), seed=3):
+    """The ScoreDocument, still without scores, that evaluate_submission fills."""
+    return ScoreDocument("base", Leaderboard.B, "none", rounds, seed, MetricConfig().epsilon)
+
+
 class TestEvaluateSubmission:
     def test_round_selection_and_additivity(self, small_dataset, tmp_path):
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        full = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)["scores"]
+        full = list(evaluate_submission(_entry({1, 2, 3}), small_dataset, root).scores)
         assert len(full) == 4  # 5 songs, 1 demo
         by_round = []
         for round_number in (1, 2, 3):
             by_round.extend(
-                evaluate_submission(submission, small_dataset, {round_number}, 3)["scores"]
+                evaluate_submission(_entry({round_number}), small_dataset, root).scores
             )
         order = {s.song_id: i for i, s in enumerate(small_dataset.songs)}
         by_round.sort(key=lambda s: order[s.song_id])
@@ -212,8 +217,7 @@ class TestEvaluateSubmission:
     def test_demo_songs_never_scored(self, small_dataset, tmp_path):
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        scored_ids = {s.song_id for s in evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)["scores"]}
+        scored_ids = {s.song_id for s in evaluate_submission(_entry(), small_dataset, root).scores}
         demo_ids = {s.song_id for s in small_dataset.songs if s.is_demo}
         assert scored_ids.isdisjoint(demo_ids)
 
@@ -223,9 +227,8 @@ class TestEvaluateSubmission:
         eligible = small_dataset.eligible_songs()
         (root / eligible[0].song_id / "vocals.wav").unlink()
         (root / eligible[1].song_id / "bass.wav").unlink()
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
         with pytest.raises(MissingSubmissionError) as excinfo:
-            evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)
+            evaluate_submission(_entry(), small_dataset, root)
         message = str(excinfo.value)
         assert eligible[0].song_id in message and eligible[1].song_id in message
 
@@ -234,24 +237,22 @@ class TestEvaluateSubmission:
         _write_baseline_submission(small_dataset, root)
         bad_song = small_dataset.eligible_songs()[0]
         (root / bad_song.song_id / "drums.wav").write_bytes(b"RIFFxxxxWAVE")
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
         with pytest.raises(EvaluationError, match=bad_song.song_id):
-            evaluate_submission(submission, small_dataset, {1, 2, 3}, 3)
+            evaluate_submission(_entry(), small_dataset, root)
 
     def test_parallel_matches_serial(self, small_dataset, tmp_path):
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        serial = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=1)
-        parallel = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=2)
+        serial = evaluate_submission(_entry(), small_dataset, root, jobs=1)
+        parallel = evaluate_submission(_entry(), small_dataset, root, jobs=2)
         assert serial == parallel
 
     def test_bad_rounds_rejected(self, small_dataset, tmp_path):
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", tmp_path)
+        # the ScoreDocument refuses them before evaluate_submission reads anything
         with pytest.raises(InvalidInputError, match=r"non-empty list drawn from 1, 2, 3, got \[4\]"):
-            evaluate_submission(submission, small_dataset, {4}, 3)
+            _entry({4})
         with pytest.raises(InvalidInputError):
-            evaluate_submission(submission, small_dataset, set(), 3)
+            _entry(set())
 
 
 class _RecordingPool:
@@ -306,8 +307,7 @@ class TestFanOut:
     ):
         root = tmp_path / "est"
         _write_baseline_submission(small_dataset, root)
-        submission = SubmissionDescriptor("base", Leaderboard.B, "none", root)
-        scores = evaluate_submission(submission, small_dataset, {1, 2, 3}, 3, jobs=64)["scores"]
+        scores = evaluate_submission(_entry(), small_dataset, root, jobs=64).scores
         assert recording_pool == [len(scores)] == [4]
 
 
@@ -424,7 +424,7 @@ class TestRank:
 
     def test_mixed_leaderboards_rejected(self):
         documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)], "b": [_song_score("s", 4, 3, 2, 1)]})
-        documents[0]["leaderboard"] = Leaderboard.A
+        documents[0] = replace(documents[0], leaderboard=Leaderboard.A)
         message = "score files mix leaderboards ['A', 'B']; pass --leaderboard to disambiguate"
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             rank(documents)
@@ -440,8 +440,7 @@ class TestRank:
     @pytest.mark.parametrize("field, values", [("epsilon", (1e-7, 1e-5)), ("seed", (4, 3))])
     def test_epsilon_or_seed_disagreement_rejected(self, field, values):
         documents = score_documents({"a": [_song_score("s", 1, 2, 3, 4)], "b": [_song_score("s", 4, 3, 2, 1)]})
-        for document, value in zip(documents, values):
-            document[field] = value
+        documents = [replace(document, **{field: value}) for document, value in zip(documents, values)]
         with pytest.raises(InvalidInputError, match=re.escape(f"score files disagree on {field}: {sorted(values)}")):
             rank(documents)
 
@@ -460,12 +459,16 @@ class TestRank:
         documents = score_documents(
             {"a": [_song_score("s1", 1, 2, 3, 4)], "b": [_song_score("s2", 4, 3, 2, 1)]}
         ) + score_documents({"b": [_song_score("s3", 1, 1, 1, 1)]}, epsilon=1e-5, seed=9)
-        documents[0]["leaderboard"] = Leaderboard.A
+        documents[0] = replace(documents[0], leaderboard=Leaderboard.A)
+
+        def replaced(index, **fields):
+            return lambda: documents.__setitem__(index, replace(documents[index], **fields))
+
         steps = [
-            ("score files mix leaderboards", lambda: documents[0].update(leaderboard=Leaderboard.B)),
-            ("score files disagree on epsilon", lambda: documents[2].update(epsilon=1e-7)),
-            ("score files disagree on seed", lambda: documents[2].update(seed=0)),
-            ("duplicate system_id 'b'", lambda: documents[2].update(system_id="c")),
+            ("score files mix leaderboards", replaced(0, leaderboard=Leaderboard.B)),
+            ("score files disagree on epsilon", replaced(2, epsilon=1e-7)),
+            ("score files disagree on seed", replaced(2, seed=0)),
+            ("duplicate system_id 'b'", replaced(2, system_id="c")),
             ("systems were not scored on the same songs; differing: b, c", None),
         ]
         for message, mend in steps:
@@ -476,28 +479,31 @@ class TestRank:
 
     def test_rounds_disagreement_rejected_after_song_sets(self):
         documents = score_documents({"a": [_song_score("s1", 1, 2, 3, 4)], "b": [_song_score("s2", 4, 3, 2, 1)]})
-        documents[1]["rounds"] = frozenset({1})
+        documents[1] = replace(documents[1], rounds=frozenset({1}))
         with pytest.raises(InvalidInputError, match="systems were not scored on the same songs"):
             rank(documents)
-        documents[1]["scores"] = [_song_score("s1", 4, 3, 2, 1)]
+        documents[1] = replace(documents[1], scores=[_song_score("s1", 4, 3, 2, 1)])
         with pytest.raises(InvalidInputError, match=re.escape("score files disagree on rounds: [[1], [1, 2, 3]]")):
             rank(documents)
-        documents[0]["rounds"] = frozenset({1})
+        documents[0] = replace(documents[0], rounds=frozenset({1}))
         assert [entry.system_id for entry in rank(documents)] == ["a", "b"]
 
 
 class TestSubmissionDescriptor:
+    """The fields a submission declares (system_id, leaderboard, training data),
+    which its ScoreDocument checks."""
+
     def test_board_a_accepts_musdb_variants(self, tmp_path):
         for declaration in ("MUSDB18-HQ", "musdb18", "MUSDB18, MUSDB18-HQ"):
-            SubmissionDescriptor("sys", Leaderboard.A, declaration, tmp_path)
+            ScoreDocument("sys", Leaderboard.A, declaration, harness.ROUNDS, 0, 1e-7)
 
     def test_board_a_rejects_extra_data(self, tmp_path):
         for declaration in ("MUSDB18-HQ + 150 songs", "", "private corpus"):
             with pytest.raises(InvalidInputError):
-                SubmissionDescriptor("sys", Leaderboard.A, declaration, tmp_path)
+                ScoreDocument("sys", Leaderboard.A, declaration, harness.ROUNDS, 0, 1e-7)
 
     def test_board_b_unconstrained(self, tmp_path):
-        SubmissionDescriptor("sys", Leaderboard.B, "anything at all", tmp_path)
+        ScoreDocument("sys", Leaderboard.B, "anything at all", harness.ROUNDS, 0, 1e-7)
 
     def test_loaded_document_keeps_the_board_a_rule(self, tmp_path):
         document = scores_to_document(score_documents(
@@ -516,7 +522,7 @@ class TestSubmissionDescriptor:
             document["training_data_declaration"] = declaration
             path.write_text(json.dumps({k: v for k, v in document.items() if v is not None}))
             if message is None:
-                assert load_score_document(path)["leaderboard"] is Leaderboard.A
+                assert load_score_document(path).leaderboard is Leaderboard.A
                 continue
             with pytest.raises(InvalidInputError, match=re.escape(message)) as excinfo:
                 load_score_document(path)
@@ -529,7 +535,56 @@ class TestSubmissionDescriptor:
         del document["training_data_declaration"]
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(document))
-        assert load_score_document(path)["leaderboard"] is Leaderboard.B
+        assert load_score_document(path).leaderboard is Leaderboard.B
+
+
+class TestScoreDocument:
+    """A ScoreDocument built in the library obeys the rules load_score_document applies to a file."""
+
+    @pytest.mark.parametrize(
+        "fields, edit, message",
+        [
+            (dict(scores=[_song_score("a", 1, 2, 3, 4)] * 2), lambda doc: doc["scores"].append(doc["scores"][0]),
+             "repeated song_id 'a'"),
+            (dict(rounds={7}), lambda doc: doc.update(rounds=[7]),
+             "rounds must be a non-empty list drawn from 1, 2, 3, got [7]"),
+            (dict(seed=-1), lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
+            (dict(epsilon=0.0), lambda doc: doc.update(epsilon=0.0), "epsilon must be finite and > 0"),
+            (dict(system_id=""), lambda doc: doc.update(system_id=""), "system_id must be non-empty"),
+            (dict(leaderboard=Leaderboard.A, training_data_declaration="private corpus"),
+             lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
+             "system sys: leaderboard A requires a training data declaration naming only MUSDB18 or "
+             "MUSDB18-HQ, got 'private corpus'"),
+        ],
+        ids=["repeated-song", "rounds-7", "seed-negative", "epsilon-zero", "system-id-empty", "board-a-private-corpus"],
+    )
+    def test_broken_rule_raises_the_loaders_message(self, tmp_path, fields, edit, message):
+        document = score_documents({"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, 1e-5, seed=7,
+                                   rounds={1}, declaration="extra")[0]
+        with pytest.raises(InvalidInputError) as built:
+            replace(document, **fields)
+        assert str(built.value) == message
+        doc = scores_to_document(document)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as loaded:
+            load_score_document(path)
+        assert str(loaded.value) == f"{path}: {message}"
+
+    def test_rank_cannot_be_handed_a_song_twice(self):
+        # counted twice, x would give system a a mean of (1 + 1 + 4) / 3 = 2 instead of 2.5
+        x, y = _song_score("x", 1, 1, 1, 1), _song_score("y", 4, 4, 4, 4)
+        with pytest.raises(InvalidInputError, match="^repeated song_id 'x'$"):
+            score_documents({"a": [x, x, y], "b": [_song_score("x", 2, 2, 2, 2), _song_score("y", 2, 2, 2, 2)]})
+        entries = rank(score_documents({"a": [x, y], "b": [_song_score("x", 2, 2, 2, 2), _song_score("y", 2, 2, 2, 2)]}))
+        assert [(e.system_id, e.sdr_song_mean) for e in entries] == [("a", 2.5), ("b", 2.0)]
+
+    def test_fields_kept_in_canonical_form(self):
+        document = ScoreDocument("sys", "A", "MUSDB18", [3, 1, 3], 0, 1e-7, [_song_score("a", 1, 2, 3, 4)])
+        assert document.leaderboard is Leaderboard.A
+        assert document.rounds == frozenset({1, 3})
+        assert document.scores == (_song_score("a", 1, 2, 3, 4),)
 
 
 class TestSerialization:
@@ -555,10 +610,10 @@ class TestSerialization:
         path = tmp_path / "scores.json"
         path.write_text(json.dumps(document))
         loaded = load_score_document(path)
-        assert loaded["system_id"] == "sys"
-        assert loaded["leaderboard"] is Leaderboard.B
-        assert loaded["rounds"] == frozenset({1, 2})
-        assert loaded["scores"] == scores
+        assert loaded.system_id == "sys"
+        assert loaded.leaderboard is Leaderboard.B
+        assert loaded.rounds == frozenset({1, 2})
+        assert list(loaded.scores) == scores
 
     def _document(self, tmp_path, **fields):
         """A score document file with `fields` overridden; a None field is left out."""
@@ -571,12 +626,12 @@ class TestSerialization:
         return path
 
     def test_document_keeps_epsilon(self, tmp_path):
-        assert load_score_document(self._document(tmp_path))["epsilon"] == 1e-5
+        assert load_score_document(self._document(tmp_path)).epsilon == 1e-5
         with pytest.raises(InvalidInputError):
             load_score_document(self._document(tmp_path, epsilon=None))
 
     def test_document_keeps_seed(self, tmp_path):
-        assert load_score_document(self._document(tmp_path))["seed"] == 7
+        assert load_score_document(self._document(tmp_path)).seed == 7
         with pytest.raises(InvalidInputError):
             load_score_document(self._document(tmp_path, seed="seven"))
 
@@ -687,12 +742,44 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match="seed must be a JSON integer"):
             load_score_document(path)
 
+    def test_type_checks_then_rules_in_order(self, tmp_path):
+        # every type check comes first, then the rules in the order the docstring
+        # gives: each step's document still breaks every later rule
+        doc = json.loads(self._document(tmp_path).read_text())
+        good = doc["scores"][0]
+        missing_vocals = {**good, "per_stem": {k: v for k, v in good["per_stem"].items() if k != "vocals"}}
+        doc.update(rounds=[7], seed=-1, epsilon=0.0, system_id="", leaderboard="A",
+                   training_data_declaration="private corpus",
+                   scores=[missing_vocals, {**good, "song_id": "b", "sdr_song": 9.0, "exclusion_reason": []}, good])
+        path = tmp_path / "edited.json"
+        steps = [
+            ("malformed score document (song b: exclusion_reason must be a JSON string, got [])",
+             lambda: doc["scores"][1].update(exclusion_reason="")),
+            ("rounds must be a non-empty list drawn from 1, 2, 3, got [7]", lambda: doc.update(rounds=[1])),
+            ("seed must be >= 0, got -1", lambda: doc.update(seed=7)),
+            ("repeated song_id 'a'", lambda: doc["scores"].pop()),
+            ("epsilon must be finite and > 0", lambda: doc.update(epsilon=1e-5)),
+            ("system_id must be non-empty", lambda: doc.update(system_id="sys")),
+            ("system sys: leaderboard A requires a training data declaration naming only MUSDB18 or MUSDB18-HQ, "
+             "got 'private corpus'", lambda: doc.update(training_data_declaration="MUSDB18")),
+            ("song a: no value for vocals", lambda: doc["scores"].__setitem__(0, good)),
+            ("song b: sdr_song 9.0 is not the mean of its kept stems, 2.5", lambda: doc["scores"][1].update(sdr_song=2.5)),
+        ]
+        for message, mend in steps:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidInputError) as caught:
+                load_score_document(path)
+            assert str(caught.value) == f"{path}: {message}"
+            mend()
+        path.write_text(json.dumps(doc))
+        assert [score.song_id for score in load_score_document(path).scores] == ["a", "b"]
+
     def test_document_silent_stem_mean_accepted(self, tmp_path):
         doc = json.loads(self._document(tmp_path).read_text())
         doc["scores"][0].update(excluded_stems={"bass": "silent reference"}, sdr_song=3.0)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        (score,) = load_score_document(path)["scores"]
+        (score,) = load_score_document(path).scores
         assert score == _song_score("a", 1, 2, 3, 4, excluded=(StemKind.BASS,))
         assert score.sdr_song == 3.0
 
@@ -703,14 +790,14 @@ class TestSerialization:
         doc["scores"][0].update(per_stem={"vocals": 1.0, "other": -1e16, "drums": 1.0, "bass": 1e16}, sdr_song=0.25)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        (score,) = load_score_document(path)["scores"]
+        (score,) = load_score_document(path).scores
         assert list(score.per_stem) == list(StemKind)
         assert score.sdr_song == 0.25
 
     def test_board_b_declaration_kept_as_read(self, tmp_path):
         for declaration, loaded in (("extra", "extra"), (None, "")):
             path = self._document(tmp_path, training_data_declaration=declaration)
-            assert load_score_document(path)["training_data_declaration"] == loaded
+            assert load_score_document(path).training_data_declaration == loaded
         message = "malformed score document (training_data_declaration must be a JSON string, got 5)"
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             load_score_document(self._document(tmp_path, training_data_declaration=5))
@@ -718,8 +805,8 @@ class TestSerialization:
     def test_document_accepts_integer_scores(self, tmp_path):
         path = self._document(tmp_path, rounds=[3, 1, 3])
         loaded = load_score_document(path)
-        assert loaded["rounds"] == frozenset({1, 3})
-        assert loaded["scores"] == [_song_score("a", 1, 2, 3, 4)]
+        assert loaded.rounds == frozenset({1, 3})
+        assert list(loaded.scores) == [_song_score("a", 1, 2, 3, 4)]
 
     def test_leaderboard_csv_three_decimals(self):
         entry = LeaderboardEntry(
