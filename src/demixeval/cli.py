@@ -124,7 +124,15 @@ def _oracle_task(task):
 def cmd_oracle(args) -> int:
     manifest = load_manifest(args.manifest)
     cfg = oracle.OracleConfig(fft_size=args.fft, hop=args.hop)
-    _print_config(
+    tasks = [(entry, args.kind, cfg, args.out) for entry in manifest.songs]
+    try:
+        song_ids = harness.fan_out(_oracle_task, tasks, args.jobs)
+    finally:
+        # a worker the pool stopped mid-song had no chance to remove its
+        # files; by now no writer is alive
+        for entry in manifest.songs:
+            remove_unfinished_writes(_oracle_paths(args.out, entry.song_id))
+    _print_config(  # once every song is written, so on any error stdout stays empty
         "oracle",
         [
             ("manifest", args.manifest),
@@ -135,14 +143,6 @@ def cmd_oracle(args) -> int:
             ("jobs", args.jobs),
         ],
     )
-    tasks = [(entry, args.kind, cfg, args.out) for entry in manifest.songs]
-    try:
-        song_ids = harness.fan_out(_oracle_task, tasks, args.jobs)
-    finally:
-        # a worker the pool stopped mid-song had no chance to remove its
-        # files; by now no writer is alive
-        for entry in manifest.songs:
-            remove_unfinished_writes(_oracle_paths(args.out, entry.song_id))
     for song_id in song_ids:
         print(f"wrote {song_id}")
     return 0

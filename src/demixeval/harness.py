@@ -1,12 +1,13 @@
 """Challenge orchestration: round planning, song scoring, ranking, score files.
 
 A submission is a directory tree mirroring the manifest,
-estimates_root/<song_id>/{bass,drums,other,vocals}.wav. Songs flagged
-is_demo never enter rounds or leaderboards. A stem listed in a song's
-silent_stems is still scored but excluded from the per-song mean, so a
-silent bass yields the mean over the other three stems. That mean is
-always derived from the per-stem scores, never stored on its own. rank
-decides which score documents may be ranked together.
+estimates_root/<song_id>/{bass,drums,other,vocals}.wav. The manifest alone
+decides what is excluded: songs flagged is_demo never enter rounds, and a
+stem listed in a song's silent_stems is still scored but excluded from the
+per-song mean, so a silent bass yields the mean over the other three stems.
+That mean is always derived from the per-stem scores, never stored on its
+own. rank ranks every record it is given, and decides which score documents
+may be ranked together.
 """
 
 from __future__ import annotations
@@ -57,26 +58,28 @@ def _check_seed(seed: int) -> None:
 class SongScore:
     """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
 
-    per_stem is a {StemKind: float} with a value for each stem, kept in StemKind order; some
-    stem is not excluded.
+    per_stem is a {StemKind: float} with a finite value for each stem, kept in StemKind order;
+    excluded_stems is a frozenset of the song's silent stems, which leaves some stem kept.
     """
 
     song_id: str
     per_stem: Mapping[StemKind, float]
-    excluded_stems: Mapping[StemKind, str]
-    excluded_song: bool = False
-    exclusion_reason: str = ""
+    excluded_stems: frozenset
 
     def __post_init__(self) -> None:
         per_stem = {k: float(v) for k, v in self.per_stem.items()}
-        if any(not isinstance(k, StemKind) for k in [*per_stem, *self.excluded_stems]):
+        excluded = frozenset(self.excluded_stems)
+        if any(not isinstance(k, StemKind) for k in [*per_stem, *excluded]):
             raise InvalidInputError("per_stem and excluded_stems keys must be StemKind members")
         missing = [kind.value for kind in StemKind if kind not in per_stem]
         if missing:
             raise InvalidInputError(f"no value for {', '.join(missing)}")
+        for kind in StemKind:
+            if not math.isfinite(per_stem[kind]):  # a NaN would make rank's order depend on its input's order
+                raise InvalidInputError(f"{kind.value} must be finite, got {per_stem[kind]}")
         object.__setattr__(self, "per_stem", {k: per_stem[k] for k in StemKind})
-        object.__setattr__(self, "excluded_stems", dict(self.excluded_stems))
-        if all(k in self.excluded_stems for k in StemKind):  # sdr_song would divide by zero
+        object.__setattr__(self, "excluded_stems", excluded)
+        if excluded == set(StemKind):  # sdr_song would divide by zero
             raise InvalidInputError("every stem is excluded")
 
     @property
@@ -168,7 +171,7 @@ def score_song(
     Each estimate is a Waveform or the path of a WAVE file. The references
     are read from entry.stem_paths. Files are decoded one block at a time,
     so the working set does not grow with the song's length. Stems in
-    entry.silent_stems are scored but left out of the mean and recorded in
+    entry.silent_stems are scored but left out of the mean, as its
     excluded_stems. Raises MissingEstimateError when a stem has no estimate,
     InvalidInputError on shape or rate mismatches, and the read_wav errors
     for files it cannot decode.
@@ -191,13 +194,7 @@ def score_song(
             values[kind] = streamed_sdr(reference, sources[kind], cfg)
         except InvalidInputError as exc:
             raise InvalidInputError(f"song {entry.song_id}, stem {kind}: {exc}") from None
-    return SongScore(
-        song_id=entry.song_id,
-        per_stem=values,
-        excluded_stems={kind: "silent reference" for kind in StemKind if kind in entry.silent_stems},
-        excluded_song=entry.is_demo,
-        exclusion_reason="demo song" if entry.is_demo else "",
-    )
+    return SongScore(entry.song_id, values, entry.silent_stems)
 
 
 def fan_out(func, tasks, jobs: int) -> list:
@@ -262,12 +259,13 @@ def evaluate_submission(
 
 
 def rank(documents: Sequence[ScoreDocument], leaderboard=None) -> list:
-    """Rank the systems of ScoreDocuments by mean per-song SDR.
+    """Rank the systems of ScoreDocuments by mean per-song SDR over every record.
 
     Each document has passed its own rules, so no song counts twice for a
-    system. They may be ranked together only if they declare one leaderboard
-    (leaderboard, when given), agree on epsilon and seed, name distinct
-    systems, cover the same non-empty set of non-demo songs, and agree on
+    system; which songs a document holds is the manifest's rule, applied by
+    evaluate_submission. They may be ranked together only if they declare one
+    leaderboard (leaderboard, when given), agree on epsilon and seed, name
+    distinct systems, cover the same non-empty set of songs, and agree on
     rounds; otherwise InvalidInputError, checked in that order. Ties break on the Vocals, Drums, Bass, then Other
     stem means, then on system_id. Ranks are consecutive from 1.
     """
@@ -290,12 +288,12 @@ def rank(documents: Sequence[ScoreDocument], leaderboard=None) -> list:
         if len(values) > 1:
             # a different stabilizer or round plan makes the scores incomparable
             raise InvalidInputError(f"score files disagree on {field}: {values}")
-    usable = {}
+    by_system = {}
     for doc in documents:
-        if doc.system_id in usable:
+        if doc.system_id in by_system:
             raise InvalidInputError(f"duplicate system_id {doc.system_id!r}")
-        usable[doc.system_id] = [score for score in doc.scores if not score.excluded_song]
-    song_sets = {system_id: frozenset(s.song_id for s in scores) for system_id, scores in usable.items()}
+        by_system[doc.system_id] = doc.scores
+    song_sets = {system_id: frozenset(s.song_id for s in scores) for system_id, scores in by_system.items()}
     reference_set = next(iter(song_sets.values()))
     mismatched = sorted(sid for sid, songs in song_sets.items() if songs != reference_set)
     if mismatched:
@@ -303,13 +301,13 @@ def rank(documents: Sequence[ScoreDocument], leaderboard=None) -> list:
             f"systems were not scored on the same songs; differing: {', '.join(mismatched)}"
         )
     if not reference_set:
-        raise InvalidInputError("no scorable songs (every record is excluded)")
+        raise InvalidInputError("no scorable songs")
     rounds = sorted(sorted(r) for r in {doc.rounds for doc in documents})
     if len(rounds) > 1:
         raise InvalidInputError(f"score files disagree on rounds: {rounds}")
 
     rows = []
-    for system_id, scores in usable.items():
+    for system_id, scores in by_system.items():
         mean = sum(score.sdr_song for score in scores) / len(scores)
         per_stem = {}
         for kind in StemKind:
@@ -343,6 +341,10 @@ def rank(documents: Sequence[ScoreDocument], leaderboard=None) -> list:
 
 # ---------------------------------------------------------------------------
 # score tables and documents
+
+# the one exclusion reason a score file holds: it, excluded_song false and
+# exclusion_reason "" are constants kept so score files keep their bytes
+SILENT_REFERENCE = "silent reference"
 
 SCORE_CSV_COLUMNS = (
     "system_id",
@@ -378,10 +380,7 @@ def scores_to_csv(document: ScoreDocument) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCORE_CSV_COLUMNS)
     for score in document.scores:
-        excluded = ";".join(
-            f"{kind.value}:{reason}"
-            for kind, reason in sorted(score.excluded_stems.items(), key=lambda kv: kv[0].value)
-        )
+        excluded = ";".join(f"{kind.value}:{SILENT_REFERENCE}" for kind in StemKind if kind in score.excluded_stems)
         writer.writerow(
             [
                 document.system_id,
@@ -389,7 +388,7 @@ def scores_to_csv(document: ScoreDocument) -> str:
                 *(format_value(score.per_stem[kind]) for kind in StemKind),
                 format_value(score.sdr_song),
                 excluded,
-                score.exclusion_reason if score.excluded_song else "",
+                "",  # excluded_song
             ]
         )
     return buffer.getvalue()
@@ -409,11 +408,9 @@ def scores_to_document(document: ScoreDocument) -> dict:
                 "song_id": score.song_id,
                 "per_stem": {kind.value: value for kind, value in score.per_stem.items()},
                 "sdr_song": score.sdr_song,
-                "excluded_stems": {
-                    kind.value: reason for kind, reason in score.excluded_stems.items()
-                },
-                "excluded_song": score.excluded_song,
-                "exclusion_reason": score.exclusion_reason,
+                "excluded_stems": {kind.value: SILENT_REFERENCE for kind in StemKind if kind in score.excluded_stems},
+                "excluded_song": False,
+                "exclusion_reason": "",
             }
             for score in document.scores
         ],
@@ -439,14 +436,15 @@ def load_score_document(path) -> ScoreDocument:
     that is not a finite number. The rules follow, each message the rule alone:
     the ScoreDocument's in its order, then each song record's in file order:
     its SongScore's, then a stored sdr_song that must equal the mean of its
-    kept stems, bit for bit.
+    kept stems, bit for bit, then exclusions as score writes them (excluded_song
+    false, exclusion_reason "", each stem's reason SILENT_REFERENCE).
     """
     with context(f"{path}: "):
         try:
             doc = _read_json(path, InvalidInputError)
             rounds = [_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")]
             seed = _typed(doc["seed"], int, "seed")
-            records = []  # (stored sdr_song, SongScore fields)
+            records = []  # (song_id, per_stem, stem exclusion reasons, sdr_song, excluded_song, exclusion_reason)
             for index, record in enumerate(_typed(doc["scores"], list, "scores")):
                 song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
                 song = f"song {song_id}"
@@ -456,14 +454,9 @@ def load_score_document(path) -> ScoreDocument:
                     for name, reason in record.get("excluded_stems", {}).items()
                 }
                 records.append((
-                    _finite(record["sdr_song"], f"{song}: sdr_song"),
-                    dict(
-                        song_id=song_id,
-                        per_stem=values,
-                        excluded_stems=excluded,
-                        excluded_song=_typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
-                        exclusion_reason=_typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
-                    ),
+                    song_id, values, excluded, _finite(record["sdr_song"], f"{song}: sdr_song"),
+                    _typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
+                    _typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
                 ))
             header = dict(
                 system_id=_typed(doc["system_id"], str, "system_id"),
@@ -484,13 +477,16 @@ def load_score_document(path) -> ScoreDocument:
         # the document's rules come before any record's own, so check them first
         # on records that keep only their song_id
         document = ScoreDocument(**header, scores=[
-            SongScore(fields["song_id"], dict.fromkeys(StemKind, 0.0), {}) for _, fields in records])
+            SongScore(song_id, dict.fromkeys(StemKind, 0.0), ()) for song_id, *_ in records])
     scores = []
-    for mean, fields in records:
-        with context(f"{path}: song {fields['song_id']}: "):
-            score = SongScore(**fields)  # refuses a record with a stem missing or none kept
+    for song_id, values, reasons, mean, excluded_song, reason in records:
+        with context(f"{path}: song {song_id}: "):
+            score = SongScore(song_id, values, reasons)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")
+            if excluded_song or reason or set(reasons.values()) - {SILENT_REFERENCE}:  # the manifest alone excludes
+                raise InvalidInputError('exclusions differ from what score writes: excluded_song false, '
+                                        f'exclusion_reason "" and stem reasons {SILENT_REFERENCE!r}')
         scores.append(score)
     return replace(document, scores=scores)
 

@@ -69,7 +69,7 @@ def test_criterion_01_aggregation_reproduction():
             StemKind.OTHER: other,
             StemKind.VOCALS: vocals,
         }
-        results[name] = [SongScore("all", scores, {}, False, "")]
+        results[name] = [SongScore("all", scores, frozenset())]
     entries = rank(score_documents(results, Leaderboard.A))
     assert [e.system_id for e in entries] == [
         "defossez",

@@ -673,6 +673,12 @@ def _shift_sdr_song(doc):
     doc["scores"][0]["sdr_song"] += 1.0
 
 
+def _exclude_bass_for_another_reason(doc):
+    record = doc["scores"][0]
+    record["excluded_stems"] = {"bass": "other"}
+    record["sdr_song"] = sum(record["per_stem"][k] for k in ("drums", "other", "vocals")) / 3
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -683,8 +689,13 @@ def _shift_sdr_song(doc):
          "song syn_000: every stem is excluded"),
         (_shift_sdr_song, "song syn_000: sdr_song"),
         (_set("scores", 0, "excluded_stems", value={"bass": "silent reference"}), "song syn_000: sdr_song"),
+        # an edited excluded_song once dropped the song from the mean, and rank exited 0
+        (_set("scores", 0, "excluded_song", value=True), "song syn_000: exclusions differ from what score writes"),
+        (_set("scores", 0, "exclusion_reason", value="demo song"), "song syn_000: exclusions differ"),
+        (_exclude_bass_for_another_reason, "song syn_000: exclusions differ"),
     ],
-    ids=["only-bass", "excluded-without-value", "all-excluded", "sdr-not-mean", "sdr-four-stem-mean"],
+    ids=["only-bass", "excluded-without-value", "all-excluded", "sdr-not-mean", "sdr-four-stem-mean",
+         "excluded-song", "song-reason", "stem-reason"],
 )
 def test_rank_rejects_inconsistent_song_record(score_document, tmp_path, capsys, edit, message):
     doc = json.loads(json.dumps(score_document))
@@ -795,6 +806,7 @@ def test_jobs_below_one_rejected(dataset, baseline_submission, tmp_path, capsys,
         args = ["oracle", "--manifest", str(dataset), "--kind", "baseline", "--out", str(tmp_path / "o")]
     assert run([*args, "--jobs", "0"]) == 1
     captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err.startswith("error: jobs must be >= 1")
     assert "Traceback" not in captured.err
 

@@ -112,7 +112,7 @@ class TestScoreSong:
         )
         estimates = {kind: song["stems"][kind] for kind in StemKind}
         score = score_song(entry, estimates)
-        assert score.excluded_stems == {StemKind.BASS: "silent reference"}
+        assert score.excluded_stems == {StemKind.BASS}
         kept = [score.per_stem[k] for k in (StemKind.DRUMS, StemKind.OTHER, StemKind.VOCALS)]
         assert score.sdr_song == pytest.approx(sum(kept) / 3, abs=1e-12)
 
@@ -311,20 +311,14 @@ class TestFanOut:
         assert recording_pool == [len(scores)] == [4]
 
 
-def _song_score(song_id, bass, drums, other, vocals, excluded=(), demo=False):
+def _song_score(song_id, bass, drums, other, vocals, excluded=()):
     values = {
         StemKind.BASS: bass,
         StemKind.DRUMS: drums,
         StemKind.OTHER: other,
         StemKind.VOCALS: vocals,
     }
-    return SongScore(
-        song_id=song_id,
-        per_stem=values,
-        excluded_stems={k: "silent reference" for k in excluded},
-        excluded_song=demo,
-        exclusion_reason="demo song" if demo else "",
-    )
+    return SongScore(song_id=song_id, per_stem=values, excluded_stems=frozenset(excluded))
 
 
 FINAL_STANDINGS = [
@@ -385,14 +379,6 @@ class TestRank:
             np.mean([s.sdr_song for s in scores]), abs=1e-12
         )
 
-    def test_demo_songs_do_not_influence(self, rng):
-        scores = [_song_score(f"s{i}", *rng.uniform(0, 10, size=4)) for i in range(4)]
-        with_demo = scores + [_song_score("demo", 99, 99, 99, 99, demo=True)]
-        plain = rank(score_documents({"sys": scores}))
-        spiked = rank(score_documents({"sys": with_demo}))
-        assert plain[0].sdr_song_mean == spiked[0].sdr_song_mean
-        assert plain[0].per_stem_means == spiked[0].per_stem_means
-
     def test_improving_one_stem_never_lowers_mean(self, rng):
         scores = [_song_score(f"s{i}", *rng.uniform(0, 10, size=4)) for i in range(5)]
         base_mean = rank(score_documents({"sys": scores}))[0].sdr_song_mean
@@ -449,10 +435,16 @@ class TestRank:
         with pytest.raises(InvalidInputError, match="duplicate system_id 'a'"):
             rank(documents)
 
-    def test_only_demo_songs_rejected(self):
-        documents = score_documents({"a": [_song_score("demo", 1, 2, 3, 4, demo=True)]})
-        with pytest.raises(InvalidInputError, match="no scorable songs"):
-            rank(documents)
+    def test_documents_without_songs_rejected(self):
+        with pytest.raises(InvalidInputError, match="^no scorable songs$"):
+            rank(score_documents({"a": [], "b": []}))
+
+    def test_nan_system_refused_before_it_can_reach_rank(self):
+        # rank sorts on the means, and a NaN compares false with every value, so
+        # a NaN system's place (and everyone else's) would follow the input order
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match=f"^drums must be finite, got {value}$"):
+                _song_score("s", 1.0, value, 3.0, 4.0)
 
     def test_contract_checked_in_order(self):
         # each document set breaks every later rule too; the first rule broken names the error
@@ -721,8 +713,15 @@ class TestSerialization:
             ({"excluded_stems": {k.value: "silent reference" for k in StemKind}}, "song a: every stem is excluded"),
             ({"sdr_song": 2.5000000000000004}, "song a: sdr_song 2.5000000000000004 is not the mean of its kept stems, 2.5"),
             ({"excluded_stems": {"bass": "silent reference"}}, "song a: sdr_song 2.5 is not the mean of its kept stems, 3.0"),
+            # the manifest alone decides which songs and stems are excluded, so an
+            # edited record can neither drop a song from the mean nor give a stem a reason
+            ({"excluded_song": True}, "song a: exclusions differ from what score writes: excluded_song false, "
+                                      "exclusion_reason \"\" and stem reasons 'silent reference'"),
+            ({"exclusion_reason": "demo song"}, "song a: exclusions differ from what score writes"),
+            ({"excluded_stems": {"bass": "other"}, "sdr_song": 3.0}, "song a: exclusions differ from what score writes"),
         ],
-        ids=["only-bass", "excluded-without-value", "excluded-unknown", "all-excluded", "sdr-last-bit", "sdr-four-stem-mean"],
+        ids=["only-bass", "excluded-without-value", "excluded-unknown", "all-excluded", "sdr-last-bit", "sdr-four-stem-mean",
+             "excluded-song", "song-reason", "stem-reason"],
     )
     def test_document_song_record_checked(self, tmp_path, record, message):
         doc = json.loads(self._document(tmp_path).read_text())
@@ -732,6 +731,17 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match=re.escape(message)) as excinfo:
             load_score_document(path)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_exclusions_checked_after_the_records_rules_before_the_next_record(self, tmp_path):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(excluded_song=True)
+        doc["scores"].append({**doc["scores"][0], "song_id": "b", "per_stem": {"bass": 1.0}})
+        path = tmp_path / "edited.json"
+        for sdr_song, message in ((9.0, "song a: sdr_song 9.0 is not the mean"), (2.5, "song a: exclusions differ")):
+            doc["scores"][0]["sdr_song"] = sdr_song
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: {message}')}"):
+                load_score_document(path)
 
     def test_document_type_checked_before_song_mean(self, tmp_path):
         doc = json.loads(self._document(tmp_path).read_text())
