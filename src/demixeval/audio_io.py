@@ -5,9 +5,11 @@ PCM samples are normalized by 2**(bits - 1), so PCM 16-bit +32767 maps to
 32767/32768. Files are always written as IEEE float 32-bit, which makes the
 write/read round trip bit-exact for float32-valued data.
 
-read_wav decodes a whole file as one block of read_wav_blocks. score and
-validate read songs through read_wav_header and read_wav_blocks: one block
-at a time into reused buffers, bit-identical samples.
+read_wav decodes a whole file as one block of read_wav_blocks. Each block
+is read and checked by _read_block, then decoded by _decode: whole by
+read_wav_blocks (validate, oracle), one channel at a time into the rows of
+the metrics' walk (score, suite). Either way the buffers are reused and the
+samples bit-identical.
 """
 
 from __future__ import annotations
@@ -194,33 +196,30 @@ def _ends_early(data_size: int) -> str:
 _PAD = 4
 
 
-def _read_frames(handle, header: WavHeader, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Read out.shape[1] frames at the file position into raw[_PAD:], decode into out.
+def _read_block(handle, header: WavHeader, raw: np.ndarray, frames: int) -> np.ndarray:
+    """Read and check frames frames at the file position in raw[_PAD:]; the stored (frames, channels) view."""
+    count, width = header.num_channels * frames, header.sample_width
+    if handle.readinto(memoryview(raw)[_PAD : _PAD + count * width]) != count * width:
+        raise CorruptFileError(_ends_early(header.num_frames * header.num_channels * width))
+    # a PCM24 sample as the little-endian int32 that starts one byte early; the last word ends the payload
+    dtype = {2: "<i2", 3: "<i4", 4: "<f4"}[width]
+    stored = np.ndarray((count,), dtype=dtype, buffer=raw, offset=_PAD - (width == 3), strides=(width,))
+    if width == 4 and not np.isfinite(stored).all():
+        raise CorruptFileError("float data contains NaN or Inf")
+    return stored.reshape(frames, header.num_channels)
 
-    One pass from the file bytes into the de-interleaved float64 output, then
-    an in-place scale by a power of two, which is exact.
-    """
-    channels, frames = out.shape
-    count = channels * frames
-    nbytes = count * header.sample_width
-    if handle.readinto(memoryview(raw)[_PAD : _PAD + nbytes]) != nbytes:
-        raise CorruptFileError(_ends_early(header.num_frames * channels * header.sample_width))
-    if header.sample_width == 2:
-        ints = np.frombuffer(raw, dtype="<i2", count=count, offset=_PAD)
-        np.copyto(out, ints.reshape(frames, channels).T)
-        out *= 2.0**-15
-    elif header.sample_width == 3:
-        # Each sample as a little-endian int32 that starts one byte early;
-        # the shift drops that byte and sign-extends. The last word ends
-        # exactly at the end of the payload.
-        words = np.ndarray((count,), dtype="<i4", buffer=raw, offset=_PAD - 1, strides=(3,))
-        np.right_shift(words.reshape(frames, channels).T, 8, out=out)
+
+def _decode(stored: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Decode stored samples into float64 out, of their shape: a copy, or a
+    shift that drops a PCM24 word's spare byte and sign-extends, then an
+    in-place scale by a power of two, which is exact."""
+    if stored.dtype == "<i4":
+        np.right_shift(stored, 8, out=out)
         out *= 2.0**-23
     else:
-        floats = np.frombuffer(raw, dtype="<f4", count=count, offset=_PAD)
-        if not np.isfinite(floats).all():
-            raise CorruptFileError("float data contains NaN or Inf")
-        np.copyto(out, floats.reshape(frames, channels).T)
+        np.copyto(out, stored)
+        if stored.dtype == "<i2":
+            out *= 2.0**-15
     return out
 
 
@@ -242,23 +241,34 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, header.sample_rate)
 
 
+def stored_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
+    """(<= block_frames, channels) blocks of a Waveform or WavHeader as stored, in frame order, for _decode.
+
+    A Waveform's are views of its samples. A WavHeader's are _read_block's, in one reused buffer that the next
+    block overwrites, so a truncated file or NaN or Inf in float data raises at the block that holds it.
+    """
+    if isinstance(source, Waveform):
+        frames = source.samples.T
+        yield from (frames[start : start + block_frames] for start in range(0, len(frames), block_frames))
+        return
+    raw = np.empty(_PAD + block_frames * source.num_channels * source.sample_width, dtype=np.uint8)
+    with context(f"{source.path}: "), open(source.path, "rb") as handle:
+        handle.seek(source.data_offset)
+        for start in range(0, source.num_frames, block_frames):
+            yield _read_block(handle, source, raw, min(block_frames, source.num_frames - start))
+
+
 def read_wav_blocks(header: WavHeader, block_frames: int) -> Iterator[np.ndarray]:
     """Decode a file's samples in order, block_frames frames at a time.
 
     Yields (channels, n) float64 arrays, n = block_frames except for a
     shorter last block, bit-identical to the matching columns of read_wav.
     They are views of one reused buffer: each is overwritten when the next
-    block is drawn. NaN or Inf in float data raises CorruptFileError at the
-    block that holds it.
+    block is drawn. Errors are stored_blocks'.
     """
-    frame_bytes = header.num_channels * header.sample_width
-    raw = np.empty(_PAD + block_frames * frame_bytes, dtype=np.uint8)
     out = np.empty((header.num_channels, block_frames))
-    with context(f"{header.path}: "), open(header.path, "rb") as handle:
-        handle.seek(header.data_offset)
-        for start in range(0, header.num_frames, block_frames):
-            count = min(block_frames, header.num_frames - start)
-            yield _read_frames(handle, header, raw, out[:, :count])
+    for stored in stored_blocks(header, block_frames):
+        yield _decode(stored.T, out[:, : len(stored)])
 
 
 def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
@@ -268,8 +278,7 @@ def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
     """
     if isinstance(source, WavHeader):
         return read_wav_blocks(source, block_frames)
-    samples = source.samples
-    return (samples[:, start : start + block_frames] for start in range(0, samples.shape[1], block_frames))
+    return (block.T for block in stored_blocks(source, block_frames))
 
 
 def remove_unfinished_writes(paths) -> None:
@@ -331,11 +340,11 @@ def write_wav(waveform: Waveform, path) -> None:
     write_wav_blocks([path], waveform.num_channels, waveform.num_frames, waveform.sample_rate, [waveform.samples[None]])
 
 
-def check_song_id(song_id: str) -> None:
-    """ManifestError unless song_id can name a directory and a CSV cell."""
+def check_song_id(song_id: str, error: type = ManifestError) -> None:
+    """error (a ManifestError by default) unless song_id can name a directory and a CSV cell."""
     if not isinstance(song_id, str) or song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
-        raise ManifestError(f"song_id {song_id!r} must be a non-empty name, "
-                            "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
+        raise error(f"song_id {song_id!r} must be a non-empty name, "
+                    "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
 
 
 @dataclass(frozen=True)

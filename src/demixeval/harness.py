@@ -24,7 +24,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, read_wav_header
+from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, check_song_id,
+                       read_wav_header)
 from .errors import (
     EvaluationError,
     InvalidInputError,
@@ -97,8 +98,9 @@ class ScoreDocument:
 
     Its rules, checked in this order, raise InvalidInputError: rounds is a
     non-empty selection of ROUNDS (kept as a frozenset), seed is >= 0, no
-    song_id repeats, MetricConfig accepts epsilon, system_id is non-empty and,
-    on leaderboard A, the declaration names only MUSDB18 or MUSDB18-HQ.
+    song_id repeats, MetricConfig accepts epsilon, system_id is non-empty,
+    then holds no CR or LF (as --system), and on leaderboard A the
+    declaration names only MUSDB18 or MUSDB18-HQ.
     """
 
     system_id: str
@@ -127,6 +129,8 @@ class ScoreDocument:
         MetricConfig(self.epsilon)
         if not self.system_id:
             raise InvalidInputError("system_id must be non-empty")
+        if "\r" in self.system_id or "\n" in self.system_id:
+            raise InvalidInputError(f"system_id must not contain CR or LF, got {self.system_id!r}")
         if self.leaderboard is Leaderboard.A:
             named = {part.strip().lower() for part in re.split(r"[+,]", self.training_data_declaration)} - {""}
             if not named or not named <= _BOARD_A_DATASETS:
@@ -435,6 +439,7 @@ def load_score_document(path) -> ScoreDocument:
     unknown leaderboard or stem ("malformed score document (...)"), a score
     that is not a finite number. The rules follow, each message the rule alone:
     the ScoreDocument's in its order, then each song record's in file order:
+    check_song_id's (a record whose id it refuses is named by its index),
     its SongScore's, then a stored sdr_song that must equal the mean of its
     kept stems, bit for bit, then exclusions as score writes them (excluded_song
     false, exclusion_reason "", each stem's reason SILENT_REFERENCE).
@@ -444,17 +449,21 @@ def load_score_document(path) -> ScoreDocument:
             doc = _read_json(path, InvalidInputError)
             rounds = [_typed(r, int, "a round") for r in _typed(doc.get("rounds", list(ROUNDS)), list, "rounds")]
             seed = _typed(doc["seed"], int, "seed")
-            records = []  # (song_id, per_stem, stem exclusion reasons, sdr_song, excluded_song, exclusion_reason)
+            records = []  # (label, song_id, per_stem, stem reasons, sdr_song, excluded_song, exclusion_reason)
             for index, record in enumerate(_typed(doc["scores"], list, "scores")):
                 song_id = _typed(record["song_id"], str, f"song record {index}: song_id")
                 song = f"song {song_id}"
+                try:  # an id the record's rules refuse, "a\nb" say, is not printed raw
+                    check_song_id(song_id)
+                except ManifestError:
+                    song = f"song record {index}"
                 values = {StemKind(name): _finite(value, f"{song}: {name}") for name, value in record["per_stem"].items()}
                 excluded = {
                     StemKind(name): _typed(reason, str, f"{song}: exclusion reason of {name}")
                     for name, reason in record.get("excluded_stems", {}).items()
                 }
                 records.append((
-                    song_id, values, excluded, _finite(record["sdr_song"], f"{song}: sdr_song"),
+                    song, song_id, values, excluded, _finite(record["sdr_song"], f"{song}: sdr_song"),
                     _typed(record.get("excluded_song", False), bool, f"{song}: excluded_song"),
                     _typed(record.get("exclusion_reason", ""), str, f"{song}: exclusion_reason"),
                 ))
@@ -477,10 +486,11 @@ def load_score_document(path) -> ScoreDocument:
         # the document's rules come before any record's own, so check them first
         # on records that keep only their song_id
         document = ScoreDocument(**header, scores=[
-            SongScore(song_id, dict.fromkeys(StemKind, 0.0), ()) for song_id, *_ in records])
+            SongScore(song_id, dict.fromkeys(StemKind, 0.0), ()) for _, song_id, *_ in records])
     scores = []
-    for song_id, values, reasons, mean, excluded_song, reason in records:
-        with context(f"{path}: song {song_id}: "):
+    for song, song_id, values, reasons, mean, excluded_song, reason in records:
+        with context(f"{path}: {song}: "):
+            check_song_id(song_id, InvalidInputError)
             score = SongScore(song_id, values, reasons)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")

@@ -15,10 +15,11 @@ DEFAULT_ENERGY_FLOOR (1e-12) is silent: framewise metrics skip such frames,
 and SI-SDR is undefined on it.
 
 Every metric takes Waveforms or WavHeaders, in any mix, and comes from one
-blocked reduction, _walk. It reads both signals in fixed blocks of 2**16
-frames, from memory or one decoded block at a time from WAVE files, and per
-channel sums rows built one at a time in a reused buffer. There are three
-row sets:
+blocked reduction, _walk. It reads and checks a block of 2**16 frames of
+the reference, then of the estimate, from memory or WAVE files, and per
+channel decodes each into one of two reused rows. s**2 and (s - s_hat)**2
+are built in those two in place; |s - s_hat|, s * s_hat and the SI-SDR
+residual in a scratch row. There are three row sets:
 
 - SDR: s**2 and (s - s_hat)**2, for global_sdr and streamed_sdr;
 - suite: those two plus |s - s_hat| and s * s_hat, for the rest of the
@@ -48,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .audio_io import _BLOCK_FRAMES as _ENERGY_BLOCK, Waveform, sample_blocks
+from .audio_io import _BLOCK_FRAMES as _ENERGY_BLOCK, Waveform, _decode, stored_blocks
 from .errors import InvalidInputError, UndefinedMetricError
 
 DB_CLAMP = 120.0  # stand-in for +-infinity; far outside any realistic score
@@ -145,17 +146,17 @@ def _cuts(start: int, count: int, unit: int) -> tuple:
 def _walk(reference, estimate, units, depth, rows) -> dict:
     """{unit: per-channel sums of rows(ref, est, start) on each unit of that many frames}.
 
-    rows maps one channel of the block at frame start to (row index,
-    contiguous row) pairs, computed one at a time into a reused buffer. A
-    sum array is (depth, channels, frames // unit + 1), its last column
-    taking the frames past the last whole unit; a unit cut by a block edge
-    adds its pieces in order. No BLAS call, whose reduction order would
-    depend on the thread count.
+    rows maps one channel of the block at frame start, decoded into two
+    reused rows it may overwrite, to (row index, contiguous row) pairs, each
+    summed before the next is drawn. A sum array is (depth, channels,
+    frames // unit + 1), its last column taking the frames past the last
+    whole unit; a unit cut by a block edge adds its pieces in order. No
+    BLAS call, whose reduction order would depend on the thread count.
     """
     sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
-    start = 0
-    for ref, est in zip(sample_blocks(reference, _ENERGY_BLOCK), sample_blocks(estimate, _ENERGY_BLOCK)):
-        count = ref.shape[1]
+    s, s_hat, start = np.empty(_ENERGY_BLOCK), np.empty(_ENERGY_BLOCK), 0
+    for ref, est in zip(stored_blocks(reference, _ENERGY_BLOCK), stored_blocks(estimate, _ENERGY_BLOCK)):
+        count = len(ref)
         runs = []  # (sums, lo, hi, first unit, piece length)
         for unit, unit_sums in sums.items():
             head, stop = _cuts(start, count, unit)
@@ -163,7 +164,8 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
                 if lo < hi:
                     runs.append((unit_sums, lo, hi, (start + lo) // unit, min(unit, hi - lo)))
         for channel in range(reference.num_channels):
-            for row, values in rows(ref[channel], est[channel], start):
+            pair = _decode(ref[:, channel], s[:count]), _decode(est[:, channel], s_hat[:count])
+            for row, values in rows(*pair, start):
                 for unit_sums, lo, hi, index, size in runs:
                     pieces = np.add.reduce(values[lo:hi].reshape(-1, size), axis=-1)
                     unit_sums[row, channel, index : index + len(pieces)] += pieces
@@ -180,14 +182,12 @@ def _totals(block_sums: np.ndarray) -> np.ndarray:
 
 
 def _energies(reference, estimate) -> tuple:
-    """(sum s**2, sum (s - s_hat)**2) of two Waveforms or WavHeaders: the SDR rows."""
-    scratch = np.empty(_ENERGY_BLOCK)
+    """(sum s**2, sum (s - s_hat)**2) of two Waveforms or WavHeaders: the SDR rows, built in place."""
 
     def rows(ref, est, start):
-        out = scratch[: ref.shape[0]]
-        yield _SIGNAL, np.multiply(ref, ref, out=out)
-        np.subtract(ref, est, out=out)
-        yield _NOISE, np.multiply(out, out, out=out)
+        np.subtract(ref, est, out=est)
+        yield _SIGNAL, np.multiply(ref, ref, out=ref)
+        yield _NOISE, np.multiply(est, est, out=est)
 
     signal, noise = _totals(_walk(reference, estimate, (_ENERGY_BLOCK,), 2, rows)[_ENERGY_BLOCK])
     return float(signal), float(noise)
@@ -202,11 +202,11 @@ def _reduce(reference, estimate, units) -> tuple:
 
     def products(ref, est, start):
         out = scratch[: ref.shape[0]]
-        yield _SIGNAL, np.multiply(ref, ref, out=out)
         yield _CROSS, np.multiply(ref, est, out=out)
-        np.subtract(ref, est, out=out)
-        yield _ABS, np.abs(out, out=out)
-        yield _NOISE, np.multiply(out, out, out=out)
+        np.subtract(ref, est, out=est)
+        yield _ABS, np.abs(est, out=out)
+        yield _NOISE, np.multiply(est, est, out=est)
+        yield _SIGNAL, np.multiply(ref, ref, out=ref)
 
     sums = _walk(reference, estimate, {_ENERGY_BLOCK, *units}, 4, products)
     return _totals(sums[_ENERGY_BLOCK]), sums
@@ -347,10 +347,10 @@ def global_sdr(reference: Waveform, estimate: Waveform, cfg: MetricConfig = Metr
 def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> float:
     """global_sdr of two Waveforms or WAVE files given by their WavHeader.
 
-    A file is decoded one block of 2**16 frames at a time into a reused
-    buffer, so the working set does not depend on the signal length. The
-    value and the errors are those of global_sdr on the decoded Waveforms,
-    bit for bit.
+    A file is read one block of 2**16 frames at a time and decoded one
+    channel at a time into reused rows, so the working set does not depend
+    on the signal length. The value and the errors are those of global_sdr
+    on the decoded Waveforms, bit for bit.
     """
     _check_pair(reference, estimate)
     return _sdr_db(*_energies(reference, estimate), cfg)

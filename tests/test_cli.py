@@ -766,8 +766,15 @@ def test_rank_applies_board_a_training_data_rule(score_document, tmp_path, capsy
          "MUSDB18-HQ, got 'private corpus'"),
         (_set("epsilon", value=0.0), "epsilon must be finite and > 0"),
         (_set("system_id", value=""), "system_id must be non-empty"),
+        # printed as a leaderboard cell, the line break would forge the row 1,forged,9,9,9,9,9
+        (_set("system_id", value="sys\n1,forged,9,9,9,9,9"),
+         "system_id must not contain CR or LF, got 'sys\\n1,forged,9,9,9,9,9'"),
+        *[(_set("scores", 0, "song_id", value=song_id),
+           f"song record 0: song_id {song_id!r} must be a non-empty name, not '.' or '..', "
+           "without '/', '\\', NUL, ',', '\"', CR or LF") for song_id in ("", "../escape", "line\nbreak")],
     ],
-    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "system-id-empty"],
+    ids=["rounds-7", "seed-negative", "repeated-song", "board-a-other-corpus", "epsilon-zero", "system-id-empty",
+         "system-id-line-break", "song-id-empty", "song-id-escape", "song-id-line-break"],
 )
 def test_rank_rule_violation_is_not_called_malformed(score_document, tmp_path, capsys, edit, message):
     doc = json.loads(json.dumps(score_document))

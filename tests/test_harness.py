@@ -543,12 +543,18 @@ class TestScoreDocument:
             (dict(seed=-1), lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
             (dict(epsilon=0.0), lambda doc: doc.update(epsilon=0.0), "epsilon must be finite and > 0"),
             (dict(system_id=""), lambda doc: doc.update(system_id=""), "system_id must be non-empty"),
+            # printed by rank, the line break would forge the row "1,forged,9,9,9,9,9"
+            (dict(system_id="sys\n1,forged,9,9,9,9,9"), lambda doc: doc.update(system_id="sys\n1,forged,9,9,9,9,9"),
+             "system_id must not contain CR or LF, got 'sys\\n1,forged,9,9,9,9,9'"),
+            (dict(system_id="sys\r"), lambda doc: doc.update(system_id="sys\r"),
+             "system_id must not contain CR or LF, got 'sys\\r'"),
             (dict(leaderboard=Leaderboard.A, training_data_declaration="private corpus"),
              lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
              "system sys: leaderboard A requires a training data declaration naming only MUSDB18 or "
              "MUSDB18-HQ, got 'private corpus'"),
         ],
-        ids=["repeated-song", "rounds-7", "seed-negative", "epsilon-zero", "system-id-empty", "board-a-private-corpus"],
+        ids=["repeated-song", "rounds-7", "seed-negative", "epsilon-zero", "system-id-empty", "system-id-lf",
+             "system-id-cr", "board-a-private-corpus"],
     )
     def test_broken_rule_raises_the_loaders_message(self, tmp_path, fields, edit, message):
         document = score_documents({"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, 1e-5, seed=7,
@@ -731,6 +737,41 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match=re.escape(message)) as excinfo:
             load_score_document(path)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("song_id", ["", "../escape", "line\nbreak", ".", "a,b"])
+    def test_record_song_id_held_to_the_manifest_rule(self, tmp_path, song_id):
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"].insert(0, {**doc["scores"][0], "song_id": "b"})
+        doc["scores"][1]["song_id"] = song_id
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as caught:
+            load_score_document(path)
+        assert str(caught.value) == (
+            f"{path}: song record 1: song_id {song_id!r} must be a non-empty name, "
+            "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
+
+    def test_record_song_id_checked_after_types_and_document_rules(self, tmp_path):
+        # a record whose id is refused is named by its index in every message,
+        # so a type error in it still ends in one line
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0].update(song_id="line\nbreak", sdr_song="1")
+        doc.update(epsilon=0.0)
+        path = tmp_path / "edited.json"
+        steps = [
+            ("malformed score document (song record 0: sdr_song must be a JSON number, got '1')",
+             lambda: doc["scores"][0].update(sdr_song=2.5)),
+            ("epsilon must be finite and > 0", lambda: doc.update(epsilon=1e-5)),
+            ("song record 0: song_id 'line\\nbreak' must be a non-empty name", None),
+        ]
+        for message, mend in steps:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(InvalidInputError) as caught:
+                load_score_document(path)
+            assert str(caught.value).startswith(f"{path}: {message}")
+            assert "\n" not in str(caught.value)
+            if mend:
+                mend()
 
     def test_exclusions_checked_after_the_records_rules_before_the_next_record(self, tmp_path):
         doc = json.loads(self._document(tmp_path).read_text())

@@ -1,7 +1,8 @@
 """Scoring straight from WAVE files, one block at a time.
 
-score_song decodes the reference and estimate files block by block through
-read_wav_blocks and feeds the SDR energy reduction with them. These tests
+score_song reads the reference and estimate files block by block, checks
+each block, and decodes it one channel at a time into the two rows the SDR
+energy reduction builds its sums in. These tests
 pin that path to the in-memory one: every score bit-identical to
 global_sdr(read_wav(r), read_wav(e)), the same errors, a working set that
 does not grow with the song, and `score` output byte-identical to values
@@ -21,7 +22,7 @@ from demixeval.audio_io import SongEntry, StemKind, Waveform, load_manifest, rea
 from demixeval.cli import run
 from demixeval.errors import AudioFormatError, CorruptFileError, InvalidInputError
 from demixeval.harness import score_song
-from demixeval.metrics import _ENERGY_BLOCK, _energies, global_sdr
+from demixeval.metrics import _ENERGY_BLOCK, _energies, global_sdr, metric_suite, streamed_sdr
 from demixeval.synth import make_dataset
 
 from helpers import add_partial_frame, sdr_energies_reference, write_encoded_wav, write_float32_wav
@@ -141,6 +142,48 @@ class TestErrors:
             score_song(_entry(ref_path), {kind: est_path for kind in StemKind})
         assert str(excinfo.value) == message
 
+    def _poke_nan(self, path, frame, channel, channels):
+        """Overwrite one float32 sample of a file with NaN."""
+        raw = bytearray(path.read_bytes())
+        at = read_wav_header(path).data_offset + 4 * (frame * channels + channel)
+        raw[at : at + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+
+    def test_reference_block_checked_before_estimate_block(self, tmp_path):
+        # NaN in the reference's channel 1 and the estimate's channel 0 of the
+        # same block: each whole block is checked, the reference's first,
+        # before any channel is decoded, so the reference's message wins
+        ref_path, est_path = _pair(tmp_path, "float32", 2, 3 * _ENERGY_BLOCK + 1234)
+        self._poke_nan(ref_path, _ENERGY_BLOCK + 5, 1, 2)
+        self._poke_nan(est_path, _ENERGY_BLOCK + 5, 0, 2)
+        expected = f"{ref_path}: float data contains NaN or Inf"
+        headers = read_wav_header(ref_path), read_wav_header(est_path)
+        for call in (streamed_sdr, metric_suite):
+            with pytest.raises(CorruptFileError) as excinfo:
+                call(*headers)
+            assert str(excinfo.value) == expected
+        with pytest.raises(CorruptFileError) as excinfo:
+            score_song(_entry(ref_path), {kind: est_path for kind in StemKind})
+        assert str(excinfo.value) == expected
+
+    @pytest.mark.parametrize("nan_block, culprit", [(0, "estimate"), (3, "reference")])
+    def test_truncated_reference_with_nan_estimate(self, tmp_path, nan_block, culprit):
+        # the reference shrinks after its header was read, so its last block
+        # comes up short; a NaN the estimate holds in an earlier block wins
+        frames = 3 * _ENERGY_BLOCK + 1234
+        ref_path, est_path = _pair(tmp_path, "float32", 2, frames)
+        self._poke_nan(est_path, nan_block * _ENERGY_BLOCK, 0, 2)
+        headers = read_wav_header(ref_path), read_wav_header(est_path)
+        ref_path.write_bytes(ref_path.read_bytes()[:-37])
+        expected = {
+            "estimate": f"{est_path}: float data contains NaN or Inf",
+            "reference": f"{ref_path}: data chunk declares {frames * 2 * 4} bytes but the file ends early",
+        }[culprit]
+        for call in (streamed_sdr, metric_suite):
+            with pytest.raises(CorruptFileError) as excinfo:
+                call(*headers)
+            assert str(excinfo.value) == expected
+
     def test_truncated_data_chunk(self, tmp_path):
         ref_path, est_path = _pair(tmp_path, "pcm24", 2, _ENERGY_BLOCK + 1)
         est_path.write_bytes(est_path.read_bytes()[:-37])
@@ -195,10 +238,28 @@ class TestErrors:
             score_song(_entry(ref_path), estimates)
 
 
+class TestWaveformInputs:
+    """In-memory Waveforms, whose samples are read-only, are copied into the rows the walk overwrites."""
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_read_only_samples_untouched_and_bits_match_files(self, tmp_path, codec):
+        ref_path, est_path = _pair(tmp_path, codec, 2, 2 * _ENERGY_BLOCK + 7)
+        reference, estimate = read_wav(ref_path), read_wav(est_path)
+        assert not reference.samples.flags.writeable and not estimate.samples.flags.writeable
+        before = [hashlib.sha256(w.samples.tobytes()).hexdigest() for w in (reference, estimate)]
+        headers = read_wav_header(ref_path), read_wav_header(est_path)
+        for sources in ((reference, estimate), (reference, headers[1]), (headers[0], estimate)):
+            assert global_sdr(*sources).hex() == global_sdr(*headers).hex()
+            suite = {key: value.hex() for key, value in metric_suite(*sources).items()}
+            assert suite == {key: value.hex() for key, value in metric_suite(*headers).items()}
+        assert [hashlib.sha256(w.samples.tobytes()).hexdigest() for w in (reference, estimate)] == before
+
+
 class TestWorkingSet:
-    # read and decode buffers for one block of each file, one scratch row and
-    # the float32 check: 3.8 MB measured for stereo
-    PEAK_BOUND = 6_000_000
+    # a raw read buffer for one block of each file, the two decoded rows and
+    # the float32 check: 2.25 MB measured for stereo. A (channels, block)
+    # float64 buffer per file, 3.8 MB in all, fails it.
+    PEAK_BOUND = 3_000_000
 
     def _peak(self, tmp_path, seconds):
         frames = seconds * 44100
