@@ -5,11 +5,11 @@ PCM samples are normalized by 2**(bits - 1), so PCM 16-bit +32767 maps to
 32767/32768. Files are always written as IEEE float 32-bit, which makes the
 write/read round trip bit-exact for float32-valued data.
 
-read_wav decodes a whole file as one block of read_wav_blocks. Each block
+read_wav decodes a whole file as one block of sample_blocks. Each block
 is read and checked by _read_block, then decoded by _decode: whole by
-read_wav_blocks (validate, oracle), one channel at a time into the rows of
-the metrics' walk (score, suite). Either way the buffers are reused and the
-samples bit-identical.
+sample_blocks (read_wav, validate, oracle), one channel at a time into the
+rows of the metrics' walk (score, suite). Either way the buffers are reused
+and the samples bit-identical.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _decode(stored: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file into a Waveform: read_wav_blocks' one-block case.
+    """Read a RIFF/WAVE file into a Waveform: sample_blocks' one-block case.
 
     Supports PCM 16-bit, PCM 24-bit, and IEEE float 32-bit, any channel
     count >= 1, under the plain format tag or WAVE_FORMAT_EXTENSIBLE with
@@ -236,7 +236,7 @@ def read_wav(path) -> Waveform:
     """
     header = read_wav_header(path)
     # a zero-frame file yields no block
-    blocks = list(read_wav_blocks(header, max(header.num_frames, 1)))
+    blocks = list(sample_blocks(header, max(header.num_frames, 1)))
     samples = blocks[0] if blocks else np.empty((header.num_channels, 0))
     return Waveform(samples, header.sample_rate)
 
@@ -258,27 +258,19 @@ def stored_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
             yield _read_block(handle, source, raw, min(block_frames, source.num_frames - start))
 
 
-def read_wav_blocks(header: WavHeader, block_frames: int) -> Iterator[np.ndarray]:
-    """Decode a file's samples in order, block_frames frames at a time.
-
-    Yields (channels, n) float64 arrays, n = block_frames except for a
-    shorter last block, bit-identical to the matching columns of read_wav.
-    They are views of one reused buffer: each is overwritten when the next
-    block is drawn. Errors are stored_blocks'.
-    """
-    out = np.empty((header.num_channels, block_frames))
-    for stored in stored_blocks(header, block_frames):
-        yield _decode(stored.T, out[:, : len(stored)])
-
-
 def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
-    """(channels, <= block_frames) blocks of a Waveform or WavHeader, in frame order.
+    """(channels, <= block_frames) float64 blocks of a Waveform or WavHeader, in frame order.
 
-    A WavHeader's come from read_wav_blocks, each overwritten when the next is drawn.
+    A Waveform's are views of its samples. A WavHeader's are decoded into one
+    reused buffer, each overwritten when the next is drawn, and are
+    bit-identical to the matching columns of read_wav. Errors are stored_blocks'.
     """
-    if isinstance(source, WavHeader):
-        return read_wav_blocks(source, block_frames)
-    return (block.T for block in stored_blocks(source, block_frames))
+    if isinstance(source, Waveform):
+        yield from (block.T for block in stored_blocks(source, block_frames))
+        return
+    out = np.empty((source.num_channels, block_frames))
+    for stored in stored_blocks(source, block_frames):
+        yield _decode(stored.T, out[:, : len(stored)])
 
 
 def remove_unfinished_writes(paths) -> None:
@@ -539,13 +531,13 @@ def validate_song_audio(entry: SongEntry, tolerance: float = DEFAULT_MIX_TOLERAN
     max_deviation = 0.0
     if length_errors or rate_errors:
         max_deviation = float("nan")
-        for _ in read_wav_blocks(mixture, _BLOCK_FRAMES):  # NaN or Inf in it still raises
+        for _ in sample_blocks(mixture, _BLOCK_FRAMES):  # NaN or Inf in it still raises
             pass
         for kind, stem in stems.items():
-            for block in read_wav_blocks(stem, _BLOCK_FRAMES):
+            for block in sample_blocks(stem, _BLOCK_FRAMES):
                 energies[kind] += float(np.sum(block * block))
     else:
-        walk = zip(*(read_wav_blocks(wav, _BLOCK_FRAMES) for wav in (mixture, *stems.values())))
+        walk = zip(*(sample_blocks(wav, _BLOCK_FRAMES) for wav in (mixture, *stems.values())))
         for mix, *blocks in walk:
             total = np.zeros_like(mix)
             for kind, block in zip(StemKind, blocks):

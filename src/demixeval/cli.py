@@ -2,8 +2,10 @@
 
 Subcommands: validate, score, rank, oracle, suite, analyze, plan. Every run
 prints its effective configuration as '# key = value' lines before any
-results, so a run is reproducible from its own output. Exit codes: 0 on
-success, 1 for validation or metric errors, 2 for usage errors.
+results, so a run is reproducible from its own output: the command, every
+option build_parser gives it in the order its usage shows, then the values
+its work derives (_print_config). Exit codes: 0 on success, 1 for
+validation or metric errors, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -25,20 +27,35 @@ _ALL_ROUNDS = ",".join(map(str, harness.ROUNDS))  # --rounds' default
 _BOARDS = [board.value for board in harness.Leaderboard]  # --leaderboard's choices
 
 
-def _print_config(command: str, pairs) -> None:
-    print(f"# command = {command}")
-    for key, value in pairs:
-        print(f"# {key} = {value}")
+def _print_config(args, **derived) -> None:
+    """Print the run's configuration as '# key = value' lines: the command, each
+    of its options in declaration order, then the values its work derived.
+
+    A derived value named like an option takes that option's place; any other
+    follows the derived value named before it, or ends the block. A float prints
+    as format(value, "g"), a list joined by commas, None as an empty value.
+    """
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    keys, previous = list(config), None
+    for key, value in derived.items():
+        if key not in config:
+            keys.insert(keys.index(previous) + 1 if previous else len(keys), key)
+        config[key], previous = value, key
+    print(f"# command = {args.command}")
+    for key in keys:
+        value = config[key]
+        if isinstance(value, float):
+            value = format(value, "g")
+        elif isinstance(value, list):
+            value = ",".join(map(str, value))
+        print(f"# {key} = {'' if value is None else value}")
 
 
 def cmd_validate(args) -> int:
     if not 0 <= args.tolerance < math.inf:
         raise InvalidInputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     manifest = load_manifest(args.manifest)
-    _print_config(
-        "validate",
-        [("manifest", args.manifest), ("tolerance", format(args.tolerance, "g"))],
-    )
+    _print_config(args)
     print("song_id,status,max_deviation,issues,warnings")
     all_passed = True
     for entry in manifest.songs:
@@ -61,21 +78,7 @@ def cmd_score(args) -> int:
     # every rule is checked before any audio is read
     document = harness.ScoreDocument(args.system, args.leaderboard, args.training_data, rounds, args.seed, args.epsilon)
     document = harness.evaluate_submission(document, manifest, args.estimates, jobs=args.jobs)
-    _print_config(
-        "score",
-        [
-            ("manifest", args.manifest),
-            ("estimates", args.estimates),
-            ("system", args.system),
-            ("leaderboard", args.leaderboard),
-            ("training_data", args.training_data),
-            ("rounds", ",".join(str(r) for r in sorted(document.rounds))),
-            ("seed", args.seed),
-            ("epsilon", format(args.epsilon, "g")),
-            ("jobs", args.jobs),
-            ("out", args.out if args.out else ""),
-        ],
-    )
+    _print_config(args, rounds=sorted(document.rounds))
     table = harness.scores_to_csv(document)
     print(table, end="")
     if args.out:
@@ -89,15 +92,8 @@ def cmd_score(args) -> int:
 def cmd_rank(args) -> int:
     documents = [harness.load_score_document(path) for path in args.scores]
     entries = harness.rank(documents, args.leaderboard)
-    _print_config(
-        "rank",
-        [
-            ("scores", ",".join(str(p) for p in args.scores)),
-            ("leaderboard", documents[0].leaderboard.value),  # rank checked they agree
-            ("rounds", ",".join(str(r) for r in sorted(documents[0].rounds))),  # likewise
-            ("out", args.out if args.out else ""),
-        ],
-    )
+    # rank checked that the documents agree on both
+    _print_config(args, leaderboard=documents[0].leaderboard, rounds=sorted(documents[0].rounds))
     table = harness.leaderboard_to_csv(entries)
     print(table, end="")
     if args.out:
@@ -132,17 +128,7 @@ def cmd_oracle(args) -> int:
         # files; by now no writer is alive
         for entry in manifest.songs:
             remove_unfinished_writes(_oracle_paths(args.out, entry.song_id))
-    _print_config(  # once every song is written, so on any error stdout stays empty
-        "oracle",
-        [
-            ("manifest", args.manifest),
-            ("kind", args.kind),
-            ("out", args.out),
-            ("fft", args.fft),
-            ("hop", args.hop),
-            ("jobs", args.jobs),
-        ],
-    )
+    _print_config(args)  # once every song is written, so on any error stdout stays empty
     for song_id in song_ids:
         print(f"wrote {song_id}")
     return 0
@@ -153,15 +139,7 @@ def cmd_suite(args) -> int:
     estimate = read_wav_header(args.estimate)
     cfg = MetricConfig(epsilon=args.epsilon)
     results = metric_suite(reference, estimate, cfg)
-    _print_config(
-        "suite",
-        [
-            ("reference", args.reference),
-            ("estimate", args.estimate),
-            ("epsilon", format(args.epsilon, "g")),
-            ("framewise_frames", FRAMEWISE_FRAMES),
-        ],
-    )
+    _print_config(args, framewise_frames=FRAMEWISE_FRAMES)
     print("metric,value")
     for metric_id in MetricId:
         if metric_id in results:
@@ -177,15 +155,7 @@ def cmd_analyze(args) -> int:
     table = analysis.read_metric_table_csv(args.table)
     kind = analysis.CorrelationKind(args.kind)
     matrix = analysis.correlation_matrix(table, kind)
-    _print_config(
-        "analyze",
-        [
-            ("table", args.table),
-            ("kind", args.kind),
-            ("threshold", format(args.threshold, "g")),
-            ("rows", len(table)),
-        ],
-    )
+    _print_config(args, rows=len(table))
     print(matrix.to_csv(), end="")
     print()
     print(matrix.report(args.threshold), end="")
@@ -196,14 +166,7 @@ def cmd_plan(args) -> int:
     manifest = load_manifest(args.manifest)
     plan = harness.plan_rounds(manifest, args.seed)
     demo_ids = [entry.song_id for entry in manifest.songs if entry.song_id not in plan]
-    _print_config(
-        "plan",
-        [
-            ("manifest", args.manifest),
-            ("seed", args.seed),
-            ("demo_songs_excluded", ",".join(demo_ids)),
-        ],
-    )
+    _print_config(args, demo_songs_excluded=demo_ids)
     print("song_id,round")
     for song_id, round_number in plan.items():  # manifest order
         print(f"{song_id},{round_number}")

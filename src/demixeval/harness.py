@@ -99,8 +99,9 @@ class ScoreDocument:
     Its rules, checked in this order, raise InvalidInputError: rounds is a
     non-empty selection of ROUNDS (kept as a frozenset), seed is >= 0, no
     song_id repeats, MetricConfig accepts epsilon, system_id is non-empty,
-    then holds no CR or LF (as --system), and on leaderboard A the
-    declaration names only MUSDB18 or MUSDB18-HQ.
+    then holds no CR or LF (as --system), on leaderboard A the
+    declaration names only MUSDB18 or MUSDB18-HQ, and every score's song_id
+    meets check_song_id (the score named by its index, "song record <i>: ").
     """
 
     system_id: str
@@ -138,6 +139,9 @@ class ScoreDocument:
                     f"system {self.system_id}: leaderboard A requires a training data "
                     f"declaration naming only MUSDB18 or MUSDB18-HQ, got {self.training_data_declaration!r}"
                 )
+        for index, score in enumerate(self.scores):
+            with context(f"song record {index}: "):
+                check_song_id(score.song_id, InvalidInputError)
 
 
 @dataclass(frozen=True)
@@ -438,11 +442,13 @@ def load_score_document(path) -> ScoreDocument:
     field"), a field of the wrong JSON type, text that is not valid Unicode, an
     unknown leaderboard or stem ("malformed score document (...)"), a score
     that is not a finite number. The rules follow, each message the rule alone:
-    the ScoreDocument's in its order, then each song record's in file order:
-    check_song_id's (a record whose id it refuses is named by its index),
-    its SongScore's, then a stored sdr_song that must equal the mean of its
-    kept stems, bit for bit, then exclusions as score writes them (excluded_song
-    false, exclusion_reason "", each stem's reason SILENT_REFERENCE).
+    the ScoreDocument's in its order, which ends with every record's song id
+    (a record whose id check_song_id refuses is named by its index), so a
+    refused id is reported before any record's own rules; then each song
+    record's in file order: its SongScore's, then a stored sdr_song that must
+    equal the mean of its kept stems, bit for bit, then exclusions as score
+    writes them (excluded_song false, exclusion_reason "", each stem's reason
+    SILENT_REFERENCE).
     """
     with context(f"{path}: "):
         try:
@@ -490,7 +496,6 @@ def load_score_document(path) -> ScoreDocument:
     scores = []
     for song, song_id, values, reasons, mean, excluded_song, reason in records:
         with context(f"{path}: {song}: "):
-            check_song_id(song_id, InvalidInputError)
             score = SongScore(song_id, values, reasons)  # refuses a record with a stem missing or none kept
             if mean != score.sdr_song:
                 raise InvalidInputError(f"sdr_song {mean!r} is not the mean of its kept stems, {score.sdr_song!r}")

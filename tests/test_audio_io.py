@@ -17,8 +17,8 @@ from demixeval.audio_io import (
     Waveform,
     load_manifest,
     read_wav,
-    read_wav_blocks,
     read_wav_header,
+    sample_blocks,
     validate_song_audio,
     write_wav,
 )
@@ -229,7 +229,7 @@ class TestDecoderOracle:
 
 
 class TestWavBlocks:
-    """read_wav_header plus read_wav_blocks against read_wav."""
+    """read_wav_header plus sample_blocks against read_wav."""
 
     LIST_CHUNK = b"LIST" + struct.pack("<I", 4) + b"INFO"
 
@@ -275,7 +275,7 @@ class TestWavBlocks:
         values[9, 1] = np.inf
         path = tmp_path / "late.wav"
         write_float32_wav(path, values, 8000)
-        blocks = read_wav_blocks(read_wav_header(path), 4)
+        blocks = sample_blocks(read_wav_header(path), 4)
         assert next(blocks).shape == (2, 4)
         assert next(blocks).shape == (2, 4)
         with pytest.raises(CorruptFileError, match="NaN or Inf"):
@@ -287,7 +287,7 @@ class TestWavBlocks:
         header = read_wav_header(path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorruptFileError, match="ends early"):
-            list(read_wav_blocks(header, 4))
+            list(sample_blocks(header, 4))
 
 
 class TestExtensibleRejects:
@@ -338,10 +338,10 @@ def _read_wav_outcome(path):
 
 
 def _block_outcome(path, block_frames):
-    """The same through read_wav_header and read_wav_blocks, blocks joined in order."""
+    """The same through read_wav_header and sample_blocks, blocks joined in order."""
     try:
         header = read_wav_header(path)
-        blocks = [block.copy() for block in read_wav_blocks(header, block_frames)]
+        blocks = [block.copy() for block in sample_blocks(header, block_frames)]
     except DemixEvalError as exc:
         return type(exc), str(exc)
     assert all(block.shape[1] == block_frames for block in blocks[:-1])

@@ -1005,3 +1005,71 @@ def test_parser_choices_are_their_owners():
         ("analyze", "kind"): [kind.value for kind in CorrelationKind],
     }
     assert list(KINDS) == ["swf", "mwf", "baseline"]  # the order --help lists
+
+
+def _config_block(out):
+    """The (key, value) pairs of a run's '# key = value' lines, in order."""
+    return [tuple(line[2:].split(" = ", 1)) for line in out.splitlines() if line.startswith("# ")]
+
+
+@pytest.mark.parametrize("extra", [[], ["--out", "LB"], ["--leaderboard", "B"], ["--out", "LB", "--leaderboard", "B"]],
+                         ids=["bare", "out", "leaderboard", "both"])
+def test_rank_config_block(score_document, tmp_path, capsys, extra):
+    # rounds comes from the file, not an option, and is printed after leaderboard
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps({**score_document, "rounds": [3, 1]}))
+    extra = [str(tmp_path / "lb.csv") if arg == "LB" else arg for arg in extra]
+    assert run(["rank", *extra, "--scores", str(path)]) == 0
+    out = str(tmp_path / "lb.csv") if "--out" in extra else ""
+    assert _config_block(capsys.readouterr().out) == [
+        ("command", "rank"), ("scores", str(path)), ("leaderboard", "B"), ("rounds", "1,3"), ("out", out),
+    ]
+
+
+def test_plan_config_block(dataset, capsys):
+    assert run(["plan", "--seed", "9", "--manifest", str(dataset)]) == 0
+    assert _config_block(capsys.readouterr().out) == [
+        ("command", "plan"), ("manifest", str(dataset)), ("seed", "9"), ("demo_songs_excluded", "syn_003"),
+    ]
+
+
+def _write_table(path, rows=12):
+    lines = ["system_id,song_id,stem,global_sdr,global_mae"]
+    lines += [f"sys,song{i},bass,{i % 5 + 0.25 * i},{(7 * i) % 11}" for i in range(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, threshold", [("pearson", None), ("spearman", "0.5")])
+def test_analyze_config_block(tmp_path, capsys, kind, threshold):
+    table = _write_table(tmp_path / "table.csv")
+    options = ["--threshold", threshold] if threshold else []
+    assert run(["analyze", *options, "--kind", kind, "--table", table]) == 0
+    assert _config_block(capsys.readouterr().out) == [
+        ("command", "analyze"), ("table", table), ("kind", kind),
+        ("threshold", threshold or format(DEFAULT_CORRELATION_THRESHOLD, "g")), ("rows", "12"),
+    ]
+
+
+def test_every_option_is_in_the_config_block(dataset, baseline_submission, score_document, tmp_path, capsys):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(score_document))
+    stem = str(load_manifest(dataset).songs[0].stem_paths[StemKind.VOCALS])
+    argv = {
+        "validate": ["--manifest", str(dataset)],
+        "score": ["--manifest", str(dataset), "--estimates", str(baseline_submission), "--system", "s",
+                  "--leaderboard", "B", "--jobs", "1"],
+        "rank": ["--scores", str(scores)],
+        "oracle": ["--manifest", str(dataset), "--kind", "baseline", "--out", str(tmp_path / "est"), "--jobs", "1"],
+        "suite": ["--reference", stem, "--estimate", stem],
+        "analyze": ["--table", _write_table(tmp_path / "table.csv"), "--kind", "pearson"],
+        "plan": ["--manifest", str(dataset), "--seed", "0"],
+    }
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert set(subcommands) == set(argv)
+    for command, parser in subcommands.items():
+        assert run([command, *argv[command]]) == 0
+        keys = [key for key, _ in _config_block(capsys.readouterr().out)]
+        options = [action.dest for action in parser._actions if action.dest != "help"]
+        assert keys[0] == "command"
+        assert [key for key in keys if key in options] == options, command

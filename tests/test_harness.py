@@ -552,9 +552,14 @@ class TestScoreDocument:
              lambda doc: doc.update(leaderboard="A", training_data_declaration="private corpus"),
              "system sys: leaderboard A requires a training data declaration naming only MUSDB18 or "
              "MUSDB18-HQ, got 'private corpus'"),
+            # written by scores_to_csv, the line break would make a cell that spans two lines
+            (dict(scores=[_song_score("a\n1,forged", 1, 2, 3, 4)]),
+             lambda doc: doc["scores"][0].update(song_id="a\n1,forged"),
+             "song record 0: song_id 'a\\n1,forged' must be a non-empty name, "
+             "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF"),
         ],
         ids=["repeated-song", "rounds-7", "seed-negative", "epsilon-zero", "system-id-empty", "system-id-lf",
-             "system-id-cr", "board-a-private-corpus"],
+             "system-id-cr", "board-a-private-corpus", "song-id-forged"],
     )
     def test_broken_rule_raises_the_loaders_message(self, tmp_path, fields, edit, message):
         document = score_documents({"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, 1e-5, seed=7,
@@ -772,6 +777,20 @@ class TestSerialization:
             assert "\n" not in str(caught.value)
             if mend:
                 mend()
+
+    def test_every_record_song_id_checked_before_any_records_rules(self, tmp_path):
+        # the ids are the document's rule, so record 1's id is named before record 0's sdr_song
+        doc = json.loads(self._document(tmp_path).read_text())
+        doc["scores"][0]["sdr_song"] = 9.0
+        doc["scores"].append({**doc["scores"][0], "song_id": "../escape"})
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: song record 1: ')}song_id '../escape'"):
+            load_score_document(path)
+        doc["scores"][1]["song_id"] = "b"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: song a: sdr_song 9.0 is not the mean')}"):
+            load_score_document(path)
 
     def test_exclusions_checked_after_the_records_rules_before_the_next_record(self, tmp_path):
         doc = json.loads(self._document(tmp_path).read_text())

@@ -1,7 +1,7 @@
 """validate reading each song through the block decoder.
 
 validate_song_audio checks all five WAVE headers of a song, then decodes
-the mixture and its four stems together through read_wav_blocks. These
+the mixture and its four stems together through sample_blocks. These
 tests pin that path to the whole-file computation it replaced:
 max_deviation bit-identical, each stem's mean power within 1e-12 relative
 of math.fsum, every fault ending in an `error:` line, a working set that
