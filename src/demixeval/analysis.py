@@ -17,6 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .audio_io import csv_text
 from .errors import InvalidInputError, UndefinedCorrelationError, context
 from .metrics import MetricId
 
@@ -128,16 +129,11 @@ class CorrelationMatrix:
         return self.values.get((first, second))
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["metric", *(m.value for m in self.metrics)])
+        rows = [["metric", *(m.value for m in self.metrics)]]
         for row_metric in self.metrics:
-            cells = []
-            for col_metric in self.metrics:
-                value = self.values.get((row_metric, col_metric))
-                cells.append("" if value is None else format(value, ".6g"))
-            writer.writerow([row_metric.value, *cells])
-        return buffer.getvalue()
+            values = (self.values.get((row_metric, col_metric)) for col_metric in self.metrics)
+            rows.append([row_metric.value, *("" if value is None else format(value, ".6g") for value in values)])
+        return csv_text(rows)
 
     def report(self, threshold: float = DEFAULT_CORRELATION_THRESHOLD) -> str:
         """Plain-text summary flagging metric pairs correlated below threshold."""
@@ -197,15 +193,13 @@ METRIC_TABLE_KEY_COLUMNS = ("system_id", "song_id", "stem")
 
 
 def metric_table_to_csv(table: MetricTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([*METRIC_TABLE_KEY_COLUMNS, *(m.value for m in table.columns)])
+    rows = [[*METRIC_TABLE_KEY_COLUMNS, *(m.value for m in table.columns)]]
     for key, row in table.cells.items():
         cells = [
             format(row[m], ".12g") if m in row else "" for m in table.columns
         ]
-        writer.writerow([*key, *cells])
-    return buffer.getvalue()
+        rows.append([*key, *cells])
+    return csv_text(rows)
 
 
 def read_metric_table_csv(path) -> MetricTable:

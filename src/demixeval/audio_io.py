@@ -1,4 +1,5 @@
-"""Stem audio I/O: WAVE files, waveform containers, dataset manifests.
+"""Stem audio I/O: WAVE files, waveform containers, dataset manifests, and
+csv_text, the one writer of every CSV table the package prints or writes.
 
 Waveforms are float64 arrays shaped (channels, frames) at full scale +-1.0.
 PCM samples are normalized by 2**(bits - 1), so PCM 16-bit +32767 maps to
@@ -15,6 +16,8 @@ and the samples bit-identical.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import os
 import struct
@@ -261,13 +264,10 @@ def stored_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
 def sample_blocks(source, block_frames: int) -> Iterator[np.ndarray]:
     """(channels, <= block_frames) float64 blocks of a Waveform or WavHeader, in frame order.
 
-    A Waveform's are views of its samples. A WavHeader's are decoded into one
-    reused buffer, each overwritten when the next is drawn, and are
-    bit-identical to the matching columns of read_wav. Errors are stored_blocks'.
+    Each is decoded into one reused buffer, overwritten when the next is drawn,
+    and is bit-identical to the matching columns of the Waveform or of read_wav.
+    Errors are stored_blocks'.
     """
-    if isinstance(source, Waveform):
-        yield from (block.T for block in stored_blocks(source, block_frames))
-        return
     out = np.empty((source.num_channels, block_frames))
     for stored in stored_blocks(source, block_frames):
         yield _decode(stored.T, out[:, : len(stored)])
@@ -419,6 +419,13 @@ def _read_json(path, error: type):
         return json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise error(f"not valid JSON ({exc})") from None
+
+
+def csv_text(rows) -> str:
+    """rows as the one CSV format of every table: csv's minimal quoting, a bare \\n after each row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _file_path(base: Path, value, what: str) -> Path:

@@ -11,6 +11,7 @@ validation or metric errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, harness, oracle
-from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, load_manifest, read_wav_header,
+from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, csv_text, load_manifest, read_wav_header,
                        remove_unfinished_writes, validate_song_audio, write_wav_blocks)
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
@@ -51,6 +52,18 @@ def _print_config(args, **derived) -> None:
         print(f"# {key} = {'' if value is None else value}")
 
 
+def _write_texts(texts) -> None:
+    """Write each {path: text}; on any error remove every one of the files, then re-raise."""
+    try:
+        for path, text in texts.items():
+            Path(path).write_text(text)
+    except BaseException:
+        for path in texts:
+            with contextlib.suppress(OSError):  # never written, or a directory
+                Path(path).unlink()
+        raise
+
+
 def cmd_validate(args) -> int:
     if not 0 <= args.tolerance < math.inf:
         raise InvalidInputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
@@ -65,6 +78,7 @@ def cmd_validate(args) -> int:
         deviation = format(report.max_deviation, ".6g")
         issues = ";".join(report.issues)
         warnings = ";".join(report.warnings)
+        # not csv_text: the recorded rows quote both text cells even when empty
         print(f'{entry.song_id},{status},{deviation},"{issues}","{warnings}"')
     return 0 if all_passed else 1
 
@@ -78,26 +92,26 @@ def cmd_score(args) -> int:
     # every rule is checked before any audio is read
     document = harness.ScoreDocument(args.system, args.leaderboard, args.training_data, rounds, args.seed, args.epsilon)
     document = harness.evaluate_submission(document, manifest, args.estimates, jobs=args.jobs)
-    _print_config(args, rounds=sorted(document.rounds))
     table = harness.scores_to_csv(document)
-    print(table, end="")
-    if args.out:
+    if args.out:  # written before anything is printed, so on any error stdout stays empty
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{prefix}.csv").write_text(table)
-        Path(f"{prefix}.json").write_text(json.dumps(harness.scores_to_document(document), indent=2) + "\n")
+        _write_texts({f"{prefix}.csv": table,
+                      f"{prefix}.json": json.dumps(harness.scores_to_document(document), indent=2) + "\n"})
+    _print_config(args, rounds=sorted(document.rounds))
+    print(table, end="")
     return 0
 
 
 def cmd_rank(args) -> int:
     documents = [harness.load_score_document(path) for path in args.scores]
     entries = harness.rank(documents, args.leaderboard)
+    table = harness.leaderboard_to_csv(entries)
+    if args.out:  # written before anything is printed; unlike score, rank creates no directory
+        _write_texts({args.out: table})
     # rank checked that the documents agree on both
     _print_config(args, leaderboard=documents[0].leaderboard, rounds=sorted(documents[0].rounds))
-    table = harness.leaderboard_to_csv(entries)
     print(table, end="")
-    if args.out:
-        Path(args.out).write_text(table)
     return 0
 
 
@@ -140,12 +154,8 @@ def cmd_suite(args) -> int:
     cfg = MetricConfig(epsilon=args.epsilon)
     results = metric_suite(reference, estimate, cfg)
     _print_config(args, framewise_frames=FRAMEWISE_FRAMES)
-    print("metric,value")
-    for metric_id in MetricId:
-        if metric_id in results:
-            print(f"{metric_id.value},{harness.format_value(results[metric_id])}")
-        else:
-            print(f"{metric_id.value},")
+    rows = [(m.value, harness.format_value(results[m]) if m in results else "") for m in MetricId]
+    print(csv_text([("metric", "value"), *rows]), end="")
     return 0
 
 
@@ -167,9 +177,7 @@ def cmd_plan(args) -> int:
     plan = harness.plan_rounds(manifest, args.seed)
     demo_ids = [entry.song_id for entry in manifest.songs if entry.song_id not in plan]
     _print_config(args, demo_songs_excluded=demo_ids)
-    print("song_id,round")
-    for song_id, round_number in plan.items():  # manifest order
-        print(f"{song_id},{round_number}")
+    print(csv_text([("song_id", "round"), *plan.items()]), end="")  # manifest order
     return 0
 
 

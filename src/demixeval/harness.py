@@ -12,8 +12,6 @@ may be ranked together.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import multiprocessing
 import re
@@ -24,7 +22,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, check_song_id,
+from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, check_song_id, csv_text,
                        read_wav_header)
 from .errors import (
     EvaluationError,
@@ -384,12 +382,10 @@ def format_value(value: float) -> str:
 
 def scores_to_csv(document: ScoreDocument) -> str:
     """Render a ScoreDocument's per-song scores as a CSV table (column order documented in README)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCORE_CSV_COLUMNS)
+    rows = [SCORE_CSV_COLUMNS]
     for score in document.scores:
         excluded = ";".join(f"{kind.value}:{SILENT_REFERENCE}" for kind in StemKind if kind in score.excluded_stems)
-        writer.writerow(
+        rows.append(
             [
                 document.system_id,
                 score.song_id,
@@ -399,7 +395,7 @@ def scores_to_csv(document: ScoreDocument) -> str:
                 "",  # excluded_song
             ]
         )
-    return buffer.getvalue()
+    return csv_text(rows)
 
 
 def scores_to_document(document: ScoreDocument) -> dict:
@@ -508,15 +504,11 @@ def load_score_document(path) -> ScoreDocument:
 
 def leaderboard_to_csv(entries: Sequence[LeaderboardEntry]) -> str:
     """Render a leaderboard at 3-decimal precision."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(LEADERBOARD_CSV_COLUMNS)
+    rows = [LEADERBOARD_CSV_COLUMNS]
     for entry in entries:
         stems = [
             f"{entry.per_stem_means[kind]:.3f}" if kind in entry.per_stem_means else ""
             for kind in StemKind
         ]
-        writer.writerow(
-            [entry.rank, entry.system_id, f"{entry.sdr_song_mean:.3f}", *stems]
-        )
-    return buffer.getvalue()
+        rows.append([entry.rank, entry.system_id, f"{entry.sdr_song_mean:.3f}", *stems])
+    return csv_text(rows)

@@ -241,8 +241,9 @@ def _grid(reference, frame_length: float, hop_length: float) -> tuple:
     return unit, frame // unit, hop // unit, (total - frame) // hop + 1
 
 
-def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> float:
-    """One global metric from the four sums and the SI-SDR residual of `size` samples."""
+def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> float | None:
+    """One global metric from the four sums and the SI-SDR residual of `size` samples;
+    None for SI-SDR or BSS Eval style SDR on a silent reference, where it is undefined."""
     signal, noise, abs_sum, cross = (float(value) for value in sums)
     if base is MetricId.GLOBAL_SDR:
         return _sdr_db(signal, noise, cfg)
@@ -252,7 +253,7 @@ def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> floa
         return noise / size
     if base is MetricId.GLOBAL_SI_SDR:
         if signal <= DEFAULT_ENERGY_FLOOR:
-            raise UndefinedMetricError("SI-SDR is undefined for a silent reference")
+            return None
         scale = cross / signal
         target = scale * scale * signal
         if residual == 0.0:
@@ -261,7 +262,7 @@ def _value(base: MetricId, sums, residual, size: int, cfg: MetricConfig) -> floa
             return -DB_CLAMP
         return _clamp_db(10.0 * math.log10(target / residual))
     if signal == 0.0:
-        raise UndefinedMetricError("BSS Eval style SDR is undefined for a silent reference")
+        return None
     if noise == 0.0:
         return DB_CLAMP
     return _clamp_db(10.0 * math.log10(signal / noise))
@@ -324,12 +325,9 @@ def _evaluate(reference, estimate, cfg: MetricConfig, series, global_si_sdr: boo
     for (base, (frame_unit, k, _, _)), frames in zip(series, frame_sums):
         kept = []
         size = reference.num_channels * frame_unit * k
-        for index in np.flatnonzero(frames[_SIGNAL] > DEFAULT_ENERGY_FLOOR):
+        for index in np.flatnonzero(frames[_SIGNAL] > DEFAULT_ENERGY_FLOOR):  # where every base is defined
             residual = frame_residuals[index] if base is MetricId.GLOBAL_SI_SDR else None
-            try:
-                kept.append(_value(base, frames[:, index], residual, size, cfg))
-            except UndefinedMetricError:
-                continue
+            kept.append(_value(base, frames[:, index], residual, size, cfg))
         values.append(kept)
     return totals, global_residual, values
 
@@ -431,12 +429,8 @@ def metric_suite(reference, estimate, cfg: MetricConfig = MetricConfig()) -> dic
             continue
         ids.append((mean_id, median_id))
     totals, residual, values = _evaluate(reference, estimate, cfg, series, True)
-    results = {}
-    for base in _GLOBAL_IDS:
-        try:
-            results[base] = _value(base, totals, residual, reference.num_channels * reference.num_frames, cfg)
-        except UndefinedMetricError:
-            continue
+    size = reference.num_channels * reference.num_frames
+    results = {base: value for base in _GLOBAL_IDS if (value := _value(base, totals, residual, size, cfg)) is not None}
     for (mean_id, median_id), kept in zip(ids, values):
         if kept:
             results[mean_id] = _aggregate(kept, Aggregation.MEAN)

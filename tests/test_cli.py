@@ -165,6 +165,33 @@ def test_score_error_leaves_stdout_empty(dataset, baseline_submission, tmp_path,
     assert captured.err == f"error: submission s is missing 1 estimate file(s):\n{missing}\n"
 
 
+def test_score_out_under_a_file_prints_nothing(dataset, baseline_submission, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    args = ["score", "--manifest", str(dataset), "--estimates", str(baseline_submission), "--system", "s",
+            "--leaderboard", "B", "--jobs", "1", "--out", str(tmp_path / "afile" / "sub" / "s")]
+    assert run(args) == 1
+    _assert_one_error_line(capsys, f"error: [Errno 20] Not a directory: '{tmp_path / 'afile' / 'sub'}'\n")
+    assert list(tmp_path.rglob("*")) == [tmp_path / "afile"]
+
+
+def test_score_json_path_a_directory_leaves_no_csv(dataset, baseline_submission, tmp_path, capsys):
+    (tmp_path / "s.json").mkdir()
+    args = ["score", "--manifest", str(dataset), "--estimates", str(baseline_submission), "--system", "s",
+            "--leaderboard", "B", "--jobs", "1", "--out", str(tmp_path / "s")]
+    assert run(args) == 1
+    _assert_one_error_line(capsys, f"error: [Errno 21] Is a directory: '{tmp_path / 's.json'}'\n")
+    assert list(tmp_path.rglob("*")) == [tmp_path / "s.json"]
+
+
+def test_rank_out_under_a_file_prints_nothing(score_document, tmp_path, capsys):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(score_document))
+    (tmp_path / "afile").write_text("")
+    assert run(["rank", "--scores", str(scores), "--out", str(tmp_path / "afile" / "x.csv")]) == 1
+    _assert_one_error_line(capsys, f"error: [Errno 20] Not a directory: '{tmp_path / 'afile' / 'x.csv'}'\n")
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "afile", scores]
+
+
 @pytest.fixture(scope="module")
 def silent_bass_scores(tmp_path_factory):
     """(manifest path, `score --out` JSON path) of the references scored as
@@ -1073,3 +1100,164 @@ def test_every_option_is_in_the_config_block(dataset, baseline_submission, score
         options = [action.dest for action in parser._actions if action.dest != "help"]
         assert keys[0] == "command"
         assert [key for key in keys if key in options] == options, command
+
+
+# ---------------------------------------------------------------------------
+# tables the shared CSV writer prints or writes, pinned byte for byte as
+# recorded before the tables shared it
+
+
+def _named(stdout, **paths):
+    """stdout with each given path replaced by <its name>."""
+    for name, path in paths.items():
+        stdout = stdout.replace(str(path), f"<{name}>")
+    return stdout
+
+
+RECORDED_PLAN = """\
+# command = plan
+# manifest = <manifest>
+# seed = 9
+# demo_songs_excluded = syn_003
+song_id,round
+syn_000,2
+syn_001,3
+syn_002,1
+"""
+
+
+def test_plan_output_matches_recorded(dataset, capsys):
+    assert run(["plan", "--manifest", str(dataset), "--seed", "9"]) == 0
+    assert _named(capsys.readouterr().out, manifest=dataset) == RECORDED_PLAN
+
+
+@pytest.fixture(scope="module")
+def three_score_files(dataset, baseline_submission, tmp_path_factory):
+    """`score --out` JSON files of the references themselves and of the mixture
+    copies under two system ids, one of them 'a,"b', which a CSV cell quotes."""
+    root = tmp_path_factory.mktemp("cli_three")
+    runs = [("perfect", "perfect", dataset.parent), ("baseline", "baseline", baseline_submission),
+            ("quoted", 'a,"b', baseline_submission)]
+    for name, system, estimates in runs:
+        assert run(["score", "--manifest", str(dataset), "--estimates", str(estimates), "--system", system,
+                    "--leaderboard", "B", "--training-data", "none", "--jobs", "1", "--out", str(root / name)]) == 0
+    return [root / f"{name}.json" for name, _, _ in runs]
+
+
+RECORDED_RANK = """\
+# command = rank
+# scores = <scores>/perfect.json,<scores>/baseline.json,<scores>/quoted.json
+# leaderboard = B
+# rounds = 1,2,3
+# out = <out>
+rank,system_id,sdr_song,sdr_bass,sdr_drums,sdr_other,sdr_vocals
+1,perfect,81.864,81.864,81.864,81.864,81.864
+2,"a,""b",-4.784,-4.757,-4.775,-4.795,-4.810
+3,baseline,-4.784,-4.757,-4.775,-4.795,-4.810
+"""
+RECORDED_LEADERBOARD = """\
+rank,system_id,sdr_song,sdr_bass,sdr_drums,sdr_other,sdr_vocals
+1,perfect,81.864,81.864,81.864,81.864,81.864
+2,"a,""b",-4.784,-4.757,-4.775,-4.795,-4.810
+3,baseline,-4.784,-4.757,-4.775,-4.795,-4.810
+"""
+
+
+def test_rank_output_matches_recorded(three_score_files, tmp_path, capsys):
+    out = tmp_path / "leaderboard.csv"
+    capsys.readouterr()
+    assert run(["rank", "--scores", *map(str, three_score_files), "--out", str(out)]) == 0
+    assert _named(capsys.readouterr().out, scores=three_score_files[0].parent, out=out) == RECORDED_RANK
+    assert out.read_text() == RECORDED_LEADERBOARD
+
+
+# global_mae and global_si_sdr have absent cells, bsseval_v3_sdr is constant
+# and framewise_sdr_mean is present in one row only
+ANALYZE_TABLE = """\
+system_id,song_id,stem,global_sdr,global_mae,global_si_sdr,bsseval_v3_sdr,framewise_sdr_mean
+a,s0,bass,1.5,0.25,,2,
+a,s1,bass,3,0.125,4.5,2,
+a,s2,bass,3,,5.25,2,7
+a,s3,bass,-2,0.5,-1,2,
+b,s0,bass,0.75,0.375,1.25,2,
+b,s1,bass,4,0.0625,,2,
+b,s2,bass,2.5,0.3,3,2,
+b,s3,bass,-0.5,0.45,0.5,2,
+"""
+RECORDED_ANALYZE = {
+    "pearson": """\
+# command = analyze
+# table = <table>
+# kind = pearson
+# threshold = 0.9
+# rows = 8
+metric,global_sdr,global_mae,global_si_sdr,bsseval_v3_sdr,framewise_sdr_mean
+global_sdr,1,-0.946912,0.96771,,
+global_mae,-0.946912,1,-0.976042,,
+global_si_sdr,0.96771,-0.976042,1,,
+bsseval_v3_sdr,,,,,
+framewise_sdr_mean,,,,,
+
+pearson correlation report (threshold 0.9)
+below threshold: global_mae vs global_si_sdr = -0.976042
+below threshold: global_sdr vs global_mae = -0.946912
+undefined: bsseval_v3_sdr vs framewise_sdr_mean (only 1 co-present row(s))
+undefined: bsseval_v3_sdr vs global_mae (constant values)
+undefined: bsseval_v3_sdr vs global_sdr (constant values)
+undefined: bsseval_v3_sdr vs global_si_sdr (constant values)
+undefined: framewise_sdr_mean vs global_mae (only 0 co-present row(s))
+undefined: framewise_sdr_mean vs global_sdr (only 1 co-present row(s))
+undefined: framewise_sdr_mean vs global_si_sdr (only 1 co-present row(s))
+""",
+    "spearman": """\
+# command = analyze
+# table = <table>
+# kind = spearman
+# threshold = 0.9
+# rows = 8
+metric,global_sdr,global_mae,global_si_sdr,bsseval_v3_sdr,framewise_sdr_mean
+global_sdr,1,-0.964286,0.985611,,
+global_mae,-0.964286,1,-1,,
+global_si_sdr,0.985611,-1,1,,
+bsseval_v3_sdr,,,,,
+framewise_sdr_mean,,,,,
+
+spearman correlation report (threshold 0.9)
+below threshold: global_mae vs global_si_sdr = -1
+below threshold: global_sdr vs global_mae = -0.964286
+undefined: bsseval_v3_sdr vs framewise_sdr_mean (only 1 co-present row(s))
+undefined: bsseval_v3_sdr vs global_mae (constant values)
+undefined: bsseval_v3_sdr vs global_sdr (constant values)
+undefined: bsseval_v3_sdr vs global_si_sdr (constant values)
+undefined: framewise_sdr_mean vs global_mae (only 0 co-present row(s))
+undefined: framewise_sdr_mean vs global_sdr (only 1 co-present row(s))
+undefined: framewise_sdr_mean vs global_si_sdr (only 1 co-present row(s))
+""",
+}
+
+
+@pytest.mark.parametrize("kind", ["pearson", "spearman"])
+def test_analyze_output_matches_recorded(tmp_path, capsys, kind):
+    table = tmp_path / "table.csv"
+    table.write_text(ANALYZE_TABLE)
+    assert run(["analyze", "--table", str(table), "--kind", kind]) == 0
+    assert _named(capsys.readouterr().out, table=table) == RECORDED_ANALYZE[kind]
+
+
+RECORDED_METRIC_TABLE = """\
+system_id,song_id,stem,global_sdr,global_mae,global_si_sdr
+sys,s0,bass,0.333333333333,,-120
+"a,""b",s0,vocals,,1e-20,
+sys,s1,drums,123456789.123,0.1,2.5e-07
+sys,s2,other,,,
+"""
+
+
+def test_metric_table_csv_matches_recorded():
+    table = MetricTable(columns=(MetricId.GLOBAL_SDR, MetricId.GLOBAL_MAE, MetricId.GLOBAL_SI_SDR))
+    table.add_row(("sys", "s0", "bass"), {MetricId.GLOBAL_SDR: 1 / 3, MetricId.GLOBAL_SI_SDR: -120.0})
+    table.add_row(('a,"b', "s0", "vocals"), {MetricId.GLOBAL_MAE: 1e-20})
+    table.add_row(("sys", "s1", "drums"), {MetricId.GLOBAL_SDR: 123456789.123456789, MetricId.GLOBAL_MAE: 0.1,
+                                           MetricId.GLOBAL_SI_SDR: 2.5e-7})
+    table.add_row(("sys", "s2", "other"), {})
+    assert metric_table_to_csv(table) == RECORDED_METRIC_TABLE
