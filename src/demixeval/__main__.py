@@ -11,7 +11,8 @@ def main() -> None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from .cli import run
 
-    sys.exit(run(sys.argv[1:]))
+    # a process runs one command, so it loads only that command's layers
+    sys.exit(run(sys.argv[1:], all_commands=False))
 
 
 if __name__ == "__main__":

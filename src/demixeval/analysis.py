@@ -10,14 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .audio_io import csv_text
+from .audio_io import _text, csv_text
 from .errors import InvalidInputError, UndefinedCorrelationError, context
 from .metrics import MetricId
 
@@ -61,12 +61,13 @@ def _pair(x, y) -> tuple:
     return x, y
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks starting at 1, ties averaged."""
-    order = np.argsort(values, kind="stable")
+def _average_ranks(values: np.ndarray, order=None) -> np.ndarray:
+    """Fractional ranks starting at 1, ties averaged; order, if given, is values' stable argsort."""
+    if order is None:
+        order = np.argsort(values, kind="stable")
     sorted_values = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
-    stops = np.r_[starts[1:], len(values)] - 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    stops = np.concatenate((starts[1:], [len(values)])) - 1
     ranks = np.empty(len(values), dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (starts + stops) + 1.0, stops - starts + 1)
     return ranks
@@ -78,42 +79,87 @@ def spearman(x, y) -> float:
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
-_CORRELATORS = {
-    CorrelationKind.PEARSON: pearson,
-    CorrelationKind.SPEARMAN: spearman,
-}
-
-
-@dataclass
 class MetricTable:
-    """Sparse table of metric values keyed by (system_id, song_id, stem)."""
+    """Metric values keyed by (system_id, song_id, stem), one column per MetricId in columns.
 
-    columns: tuple = tuple(MetricId)
-    cells: dict = field(default_factory=dict)
+    The row keys are kept in a list, in the order added, and the values in
+    one (rows, columns) float64 matrix, `values`, with NaN where a row has
+    no value for a metric. Every value is finite, so NaN is never a value.
+    A key is three strings of valid Unicode text without CR, LF or NUL, so
+    the CSV form of a table reads back as the same table.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, columns: tuple = tuple(MetricId)) -> None:
+        self.columns = tuple(columns)
         for index, column in enumerate(self.columns):
             if column in self.columns[:index]:
                 raise InvalidInputError(f"duplicate column {column}")
+        self._keys = []
+        self._seen = set()
+        self._matrix = np.empty((0, len(self.columns)))
+        self._pending = []  # rows added since _matrix was last built, as lists of floats
+
+    def _check_key(self, key) -> tuple:
+        """key as a tuple, if it may become a row of this table; else InvalidInputError."""
+        key = tuple(key)
+        if len(key) != 3 or not all(isinstance(part, str) for part in key):
+            raise InvalidInputError("row key must be (system_id, song_id, stem)")
+        text = "".join(key)
+        if "\r" in text or "\n" in text:
+            raise InvalidInputError(f"row key must not contain CR or LF, got {key!r}")
+        if "\0" in text:  # Python 3.10's csv module can neither write nor read it
+            raise InvalidInputError(f"row key must not contain NUL, got {key!r}")
+        _text(text, "row key", InvalidInputError)
+        if key in self._seen:
+            raise InvalidInputError(f"duplicate row key {key}")
+        return key
+
+    def _append(self, key: tuple, row: list) -> None:
+        self._keys.append(key)
+        self._seen.add(key)
+        self._pending.append(row)
 
     def add_row(self, key: RowKey, values: Mapping[MetricId, float]) -> None:
-        key = tuple(key)
-        if len(key) != 3:
-            raise InvalidInputError("row key must be (system_id, song_id, stem)")
-        if key in self.cells:
-            raise InvalidInputError(f"duplicate row key {key}")
-        row = {}
+        key = self._check_key(key)
+        row = [math.nan] * len(self.columns)
         for metric, value in values.items():
             if metric not in self.columns:
                 raise InvalidInputError(f"unknown column {metric}")
             value = float(value)
             if not math.isfinite(value):
                 raise InvalidInputError(f"non-finite value for {metric} at {key}")
-            row[metric] = value
-        self.cells[key] = row
+            row[self.columns.index(metric)] = value
+        self._append(key, row)
+
+    @property
+    def keys(self) -> tuple:
+        """The row keys, in the order added."""
+        return tuple(self._keys)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (rows, columns) matrix, NaN for an absent value; read-only."""
+        if self._pending:
+            added = np.array(self._pending, dtype=np.float64).reshape(len(self._pending), len(self.columns))
+            self._matrix, self._pending = np.concatenate([self._matrix, added]), []
+            self._matrix.flags.writeable = False
+        return self._matrix
+
+    @property
+    def cells(self) -> dict:
+        """{key: {metric: value}} of the present values, rows and metrics in table order; a copy."""
+        return {
+            key: {metric: value for metric, value in zip(self.columns, row) if not math.isnan(value)}
+            for key, row in zip(self.keys, self.values.tolist())
+        }
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MetricTable):
+            return NotImplemented
+        return self.columns == other.columns and self.cells == other.cells
 
 
 @dataclass(frozen=True)
@@ -159,27 +205,32 @@ def correlation_matrix(table: MetricTable, kind: CorrelationKind) -> Correlation
     """Pairwise correlations over rows where both metrics are present.
 
     Pairs with fewer than two co-present rows or a constant column are left
-    undefined and recorded with a reason.
+    undefined and recorded with a reason. Each value is pearson or spearman
+    on the pair's co-present rows in table order, bit for bit. Spearman
+    ranks a pair's rows from its columns' stable argsorts, each taken once:
+    kept to the co-present rows, an argsort is their own stable argsort.
     """
-    correlate = _CORRELATORS[kind]
     metrics = tuple(table.columns)
-    rows = list(table.cells.values())
-    shape = (len(rows), len(metrics))  # also for a table with no rows
-    present = np.array([[metric in row for metric in metrics] for row in rows], dtype=bool).reshape(shape)
-    data = np.array([[row.get(metric, 0.0) for metric in metrics] for row in rows]).reshape(shape)
+    data = np.ascontiguousarray(table.values.T)  # one row per metric
+    present = ~np.isnan(data)
+    if kind is CorrelationKind.SPEARMAN:
+        orders = np.argsort(data, axis=1, kind="stable")
     values = {}
     missing = {}
     for i, first in enumerate(metrics):
         for j, second in enumerate(metrics[i:], start=i):
-            both = present[:, i] & present[:, j]
-            xs, ys = data[both, i], data[both, j]
-            if len(xs) < 2:
-                missing[(first, second)] = missing[(second, first)] = (
-                    f"only {len(xs)} co-present row(s)"
-                )
+            both = present[i] & present[j]
+            count = int(np.count_nonzero(both))
+            if count < 2:
+                missing[(first, second)] = missing[(second, first)] = f"only {count} co-present row(s)"
                 continue
+            xs, ys = data[i, both], data[j, both]
+            if kind is CorrelationKind.SPEARMAN:
+                position = np.cumsum(both) - 1  # each co-present row's index among them
+                xs = _average_ranks(xs, position[orders[i, both[orders[i]]]])
+                ys = _average_ranks(ys, position[orders[j, both[orders[j]]]])
             try:
-                value = correlate(xs, ys)
+                value = pearson(xs, ys)
             except UndefinedCorrelationError:
                 missing[(first, second)] = missing[(second, first)] = "constant values"
                 continue
@@ -194,11 +245,8 @@ METRIC_TABLE_KEY_COLUMNS = ("system_id", "song_id", "stem")
 
 def metric_table_to_csv(table: MetricTable) -> str:
     rows = [[*METRIC_TABLE_KEY_COLUMNS, *(m.value for m in table.columns)]]
-    for key, row in table.cells.items():
-        cells = [
-            format(row[m], ".12g") if m in row else "" for m in table.columns
-        ]
-        rows.append([*key, *cells])
+    for key, row in zip(table.keys, table.values.tolist()):
+        rows.append([*key, *("" if math.isnan(value) else format(value, ".12g") for value in row)])
     return csv_text(rows)
 
 
@@ -210,10 +258,12 @@ def read_metric_table_csv(path) -> MetricTable:
     """
     with context(f"{path}: "):
         try:
-            text = Path(path).read_text()
+            # newline="", as the csv module asks: a CR inside a quoted cell stays in it
+            with Path(path).open(newline="") as file:
+                text = file.read()
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"not UTF-8 text ({exc})") from None
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             if (header := next(reader, None)) is None:
                 raise InvalidInputError("empty table")
@@ -229,12 +279,22 @@ def read_metric_table_csv(path) -> MetricTable:
                     continue
                 if len(row) != 3 + len(columns):
                     raise InvalidInputError(f"line {line_number} has {len(row)} fields")
-                with context(f"line {line_number}: "):
+                try:
+                    cells = row[3:]
                     try:
-                        values = {metric: float(cell) for metric, cell in zip(columns, row[3:]) if cell != ""}
+                        values = [float(cell) if cell else math.nan for cell in cells]
                     except ValueError as exc:
                         raise InvalidInputError(str(exc)) from None
-                    table.add_row(tuple(row[:3]), values)
+                    key = table._check_key(row[:3])
+                    # an absent cell is NaN, so the present values are all finite
+                    # exactly when the finite values number the present cells
+                    if sum(map(math.isfinite, values)) + cells.count("") != len(cells):
+                        metric = next(metric for metric, cell, value in zip(columns, cells, values)
+                                      if cell and not math.isfinite(value))
+                        raise InvalidInputError(f"non-finite value for {metric} at {key}")
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"line {line_number}: {exc}") from None
+                table._append(key, values)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise InvalidInputError(f"line {reader.line_num}: {exc}") from None
     return table

@@ -428,6 +428,11 @@ def csv_text(rows) -> str:
     return buffer.getvalue()
 
 
+def format_value(value: float) -> str:
+    """Fixed 6-significant-digit rendering of the score and suite tables' values."""
+    return format(value, ".6g")
+
+
 def _file_path(base: Path, value, what: str) -> Path:
     """base / value, if value is a JSON string without NUL; else a ManifestError."""
     if "\0" in _typed(value, str, what):

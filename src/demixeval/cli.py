@@ -18,14 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, harness, oracle
-from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, csv_text, load_manifest, read_wav_header,
-                       remove_unfinished_writes, validate_song_audio, write_wav_blocks)
+from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, csv_text, format_value, load_manifest,
+                       read_wav_header, remove_unfinished_writes, validate_song_audio, write_wav_blocks)
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
 
-_ALL_ROUNDS = ",".join(map(str, harness.ROUNDS))  # --rounds' default
-_BOARDS = [board.value for board in harness.Leaderboard]  # --leaderboard's choices
+# harness, oracle and analysis are imported by the commands and options that
+# use them, so a process that runs suite, say, loads none of them
 
 
 def _print_config(args, **derived) -> None:
@@ -84,11 +83,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import harness
     manifest = load_manifest(args.manifest)
     try:
         rounds = {int(part) for part in args.rounds.split(",") if part.strip()}
     except ValueError:
-        raise InvalidInputError(f"cannot parse rounds {args.rounds!r}, expected e.g. {_ALL_ROUNDS}") from None
+        expected = ",".join(map(str, harness.ROUNDS))
+        raise InvalidInputError(f"cannot parse rounds {args.rounds!r}, expected e.g. {expected}") from None
     # every rule is checked before any audio is read
     document = harness.ScoreDocument(args.system, args.leaderboard, args.training_data, rounds, args.seed, args.epsilon)
     document = harness.evaluate_submission(document, manifest, args.estimates, jobs=args.jobs)
@@ -104,6 +105,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import harness
     documents = [harness.load_score_document(path) for path in args.scores]
     entries = harness.rank(documents, args.leaderboard)
     table = harness.leaderboard_to_csv(entries)
@@ -120,6 +122,7 @@ def _oracle_paths(out_root, song_id) -> list:
 
 
 def _oracle_task(task):
+    from . import oracle
     entry, kind, cfg, out_root = task
     mixture = read_wav_header(entry.mixture_path)
     stem_paths = {} if kind == "baseline" else entry.stem_paths
@@ -132,6 +135,7 @@ def _oracle_task(task):
 
 
 def cmd_oracle(args) -> int:
+    from . import harness, oracle
     manifest = load_manifest(args.manifest)
     cfg = oracle.OracleConfig(fft_size=args.fft, hop=args.hop)
     tasks = [(entry, args.kind, cfg, args.out) for entry in manifest.songs]
@@ -154,12 +158,13 @@ def cmd_suite(args) -> int:
     cfg = MetricConfig(epsilon=args.epsilon)
     results = metric_suite(reference, estimate, cfg)
     _print_config(args, framewise_frames=FRAMEWISE_FRAMES)
-    rows = [(m.value, harness.format_value(results[m]) if m in results else "") for m in MetricId]
+    rows = [(m.value, format_value(results[m]) if m in results else "") for m in MetricId]
     print(csv_text([("metric", "value"), *rows]), end="")
     return 0
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
     if not math.isfinite(args.threshold):
         raise InvalidInputError(f"--threshold must be finite, got {args.threshold}")
     table = analysis.read_metric_table_csv(args.table)
@@ -173,6 +178,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from . import harness
     manifest = load_manifest(args.manifest)
     plan = harness.plan_rounds(manifest, args.seed)
     demo_ids = [entry.song_id for entry in manifest.songs if entry.song_id not in plan]
@@ -181,71 +187,91 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command line; given a command's name, only that
+    command's options are declared, and only the layers they come from are
+    imported. Every command keeps its name and help line, so --help reads the
+    same either way."""
     parser = argparse.ArgumentParser(
         prog="demixeval",
         description="Evaluation harness for four-stem music source separation.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser("validate", help="check stem/mixture consistency per song")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_MIX_TOLERANCE,
-                   help="max allowed |mixture - sum(stems)| (default 1e-3)")
-    p.set_defaults(func=cmd_validate)
+    def subcommand(name, help_line):
+        p = subparsers.add_parser(name, help=help_line)
+        return p if command in (None, name) else None
 
-    p = subparsers.add_parser("score", help="score a submission tree against the manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--estimates", required=True, help="root of <song_id>/<stem>.wav estimates")
-    p.add_argument("--system", required=True)
-    p.add_argument("--leaderboard", required=True, choices=_BOARDS)
-    p.add_argument("--training-data", default="MUSDB18-HQ",
-                   help="training data declaration (leaderboard A allows only MUSDB18/MUSDB18-HQ)")
-    p.add_argument("--rounds", default=_ALL_ROUNDS, help="comma-separated rounds to score")
-    p.add_argument("--seed", type=int, default=0, help="round-plan seed")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--out", default=None,
-                   help="path prefix; writes <out>.csv and <out>.json score files")
-    p.set_defaults(func=cmd_score)
+    if p := subcommand("validate", "check stem/mixture consistency per song"):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--tolerance", type=float, default=DEFAULT_MIX_TOLERANCE,
+                       help="max allowed |mixture - sum(stems)| (default 1e-3)")
+        p.set_defaults(func=cmd_validate)
 
-    p = subparsers.add_parser("rank", help="rank systems from score JSON files")
-    p.add_argument("--scores", required=True, nargs="+", help="score .json files from `score --out`")
-    p.add_argument("--leaderboard", choices=_BOARDS, default=None)
-    p.add_argument("--out", default=None, help="also write the leaderboard CSV here")
-    p.set_defaults(func=cmd_rank)
+    if p := subcommand("score", "score a submission tree against the manifest"):
+        from . import harness
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--estimates", required=True, help="root of <song_id>/<stem>.wav estimates")
+        p.add_argument("--system", required=True)
+        p.add_argument("--leaderboard", required=True, choices=[board.value for board in harness.Leaderboard])
+        p.add_argument("--training-data", default="MUSDB18-HQ",
+                       help="training data declaration (leaderboard A allows only MUSDB18/MUSDB18-HQ)")
+        p.add_argument("--rounds", default=",".join(map(str, harness.ROUNDS)), help="comma-separated rounds to score")
+        p.add_argument("--seed", type=int, default=0, help="round-plan seed")
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--out", default=None,
+                       help="path prefix; writes <out>.csv and <out>.json score files")
+        p.set_defaults(func=cmd_score)
 
-    p = subparsers.add_parser("oracle", help="write oracle or baseline estimates for a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", required=True, choices=oracle.KINDS)
-    p.add_argument("--out", required=True, help="output root, one directory per song")
-    p.add_argument("--fft", type=int, default=oracle.OracleConfig.fft_size)
-    p.add_argument("--hop", type=int, default=oracle.OracleConfig.hop)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.set_defaults(func=cmd_oracle)
+    if p := subcommand("rank", "rank systems from score JSON files"):
+        from . import harness
+        p.add_argument("--scores", required=True, nargs="+", help="score .json files from `score --out`")
+        p.add_argument("--leaderboard", choices=[board.value for board in harness.Leaderboard], default=None)
+        p.add_argument("--out", default=None, help="also write the leaderboard CSV here")
+        p.set_defaults(func=cmd_rank)
 
-    p = subparsers.add_parser("suite", help="run the full metric family on one file pair")
-    p.add_argument("--reference", required=True)
-    p.add_argument("--estimate", required=True)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.set_defaults(func=cmd_suite)
+    if p := subcommand("oracle", "write oracle or baseline estimates for a manifest"):
+        from . import oracle
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--kind", required=True, choices=oracle.KINDS)
+        p.add_argument("--out", required=True, help="output root, one directory per song")
+        p.add_argument("--fft", type=int, default=oracle.OracleConfig.fft_size)
+        p.add_argument("--hop", type=int, default=oracle.OracleConfig.hop)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.set_defaults(func=cmd_oracle)
 
-    p = subparsers.add_parser("analyze", help="correlation matrix over a metric table CSV")
-    p.add_argument("--table", required=True)
-    p.add_argument("--kind", required=True, choices=[kind.value for kind in analysis.CorrelationKind])
-    p.add_argument("--threshold", type=float, default=analysis.DEFAULT_CORRELATION_THRESHOLD)
-    p.set_defaults(func=cmd_analyze)
+    if p := subcommand("suite", "run the full metric family on one file pair"):
+        p.add_argument("--reference", required=True)
+        p.add_argument("--estimate", required=True)
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+        p.set_defaults(func=cmd_suite)
 
-    p = subparsers.add_parser("plan", help="print the round assignment for a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_plan)
+    if p := subcommand("analyze", "correlation matrix over a metric table CSV"):
+        from . import analysis
+        p.add_argument("--table", required=True)
+        p.add_argument("--kind", required=True, choices=[kind.value for kind in analysis.CorrelationKind])
+        p.add_argument("--threshold", type=float, default=analysis.DEFAULT_CORRELATION_THRESHOLD)
+        p.set_defaults(func=cmd_analyze)
+
+    if p := subcommand("plan", "print the round assignment for a manifest"):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.set_defaults(func=cmd_plan)
 
     return parser
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
+def run(argv=None, all_commands: bool = True) -> int:
+    """Run one command line (default: sys.argv[1:]); return its exit code.
+
+    all_commands=False declares the invoked command's options only, so only
+    its layers load; the process entry point passes it. The default loads
+    every layer, as perfbench's tracer, which wraps them in-process, expects.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level has no option but --help, so the first other word names the command
+    parser = build_parser(None if all_commands else next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help

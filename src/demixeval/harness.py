@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, check_song_id, csv_text,
-                       read_wav_header)
+                       format_value, read_wav_header)
 from .errors import (
     EvaluationError,
     InvalidInputError,
@@ -373,11 +373,6 @@ LEADERBOARD_CSV_COLUMNS = (
     "sdr_other",
     "sdr_vocals",
 )
-
-
-def format_value(value: float) -> str:
-    """Fixed 6-significant-digit rendering used in score tables."""
-    return format(value, ".6g")
 
 
 def scores_to_csv(document: ScoreDocument) -> str:

@@ -150,25 +150,28 @@ def _walk(reference, estimate, units, depth, rows) -> dict:
     reused rows it may overwrite, to (row index, contiguous row) pairs, each
     summed before the next is drawn. A sum array is (depth, channels,
     frames // unit + 1), its last column taking the frames past the last
-    whole unit; a unit cut by a block edge adds its pieces in order. No
-    BLAS call, whose reduction order would depend on the thread count.
+    whole unit; a unit cut by a block edge adds its pieces in order. A
+    piece two grids cut alike, such as a whole block inside a unit longer
+    than a block, is summed once for both. No BLAS call, whose reduction
+    order would depend on the thread count.
     """
     sums = {unit: np.zeros((depth, reference.num_channels, reference.num_frames // unit + 1)) for unit in units}
     s, s_hat, start = np.empty(_ENERGY_BLOCK), np.empty(_ENERGY_BLOCK), 0
     for ref, est in zip(stored_blocks(reference, _ENERGY_BLOCK), stored_blocks(estimate, _ENERGY_BLOCK)):
         count = len(ref)
-        runs = []  # (sums, lo, hi, first unit, piece length)
+        runs = {}  # (lo, hi, piece length): [(sums, first unit), ...]
         for unit, unit_sums in sums.items():
             head, stop = _cuts(start, count, unit)
             for lo, hi in ((0, head), (head, stop), (stop, count)):
                 if lo < hi:
-                    runs.append((unit_sums, lo, hi, (start + lo) // unit, min(unit, hi - lo)))
+                    runs.setdefault((lo, hi, min(unit, hi - lo)), []).append((unit_sums, (start + lo) // unit))
         for channel in range(reference.num_channels):
             pair = _decode(ref[:, channel], s[:count]), _decode(est[:, channel], s_hat[:count])
             for row, values in rows(*pair, start):
-                for unit_sums, lo, hi, index, size in runs:
+                for (lo, hi, size), targets in runs.items():
                     pieces = np.add.reduce(values[lo:hi].reshape(-1, size), axis=-1)
-                    unit_sums[row, channel, index : index + len(pieces)] += pieces
+                    for unit_sums, index in targets:
+                        unit_sums[row, channel, index : index + len(pieces)] += pieces
         start += count
     return sums
 
@@ -357,7 +360,13 @@ def streamed_sdr(reference, estimate, cfg: MetricConfig = MetricConfig()) -> flo
 def _aggregate(values: list, aggregation: Aggregation) -> float:
     if aggregation is Aggregation.MEAN:
         return sum(values) / len(values)
-    return float(np.median(values))
+    # np.median's value bit for bit (the mean of the middle one or two, summed
+    # from +0.0), without the numpy.ma import that its first call costs a process
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[middle]
+    return (0.0 + ordered[middle - 1] + ordered[middle]) / 2
 
 
 def framewise(

@@ -1,11 +1,13 @@
+import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demixeval import analysis
@@ -194,6 +196,62 @@ class TestMetricTable:
         assert loaded.columns == table.columns
         assert loaded.cells == table.cells
 
+    @pytest.mark.parametrize("part, refusal", [("a\rb", "CR or LF"), ("a\nb", "CR or LF"), ("a\0b", "NUL")],
+                             ids=["cr", "lf", "nul"])
+    def test_key_with_a_line_break_or_nul_refused(self, tmp_path, part, refusal):
+        # written, a CR would end the row, and Python 3.10's csv cannot take a NUL
+        table = MetricTable(columns=(MetricId.GLOBAL_SDR,))
+        message = f"row key must not contain {refusal}, got {(part, 's', 'bass')!r}"
+        with pytest.raises(InvalidInputError) as excinfo:
+            table.add_row((part, "s", "bass"), {MetricId.GLOBAL_SDR: 1.0})
+        assert str(excinfo.value) == message
+        assert len(table) == 0
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="") as file:
+            file.write(f'system_id,song_id,stem,global_sdr\nc,s,bass,2\n"{part}",s,bass,1\n')
+        with pytest.raises(InvalidInputError) as excinfo:
+            read_metric_table_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize("key, message", [
+        (("a", "b"), "row key must be (system_id, song_id, stem)"),
+        (("a", "b", "c", "d"), "row key must be (system_id, song_id, stem)"),
+        (("a", 1, "bass"), "row key must be (system_id, song_id, stem)"),
+        (("a", "\ud800", "bass"), "row key must be valid Unicode text"),
+    ])
+    def test_key_of_three_texts(self, key, message):
+        table = MetricTable(columns=(MetricId.GLOBAL_SDR,))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            table.add_row(key, {})
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.sampled_from(list(MetricId)), unique=True, max_size=4),
+        st.lists(
+            st.tuples(
+                # all of Unicode, lone surrogates included, and the characters CSV quotes
+                st.tuples(*[st.text(st.characters(exclude_categories=()) | st.sampled_from('\r\n\0,"'),
+                                    max_size=4)] * 3),
+                # values that 12 significant digits carry exactly
+                st.lists(st.none() | st.floats(allow_nan=False, allow_infinity=False).map(
+                    lambda value: float(format(value, ".12g"))), min_size=4, max_size=4),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_every_accepted_table_reads_back(self, tmp_path, columns, rows):
+        table = MetricTable(columns=tuple(columns))
+        for key, values in rows:
+            with contextlib.suppress(InvalidInputError):  # a refused row is not in the table
+                table.add_row(key, {metric: value for metric, value in zip(columns, values) if value is not None})
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="") as file:
+            file.write(metric_table_to_csv(table))
+        loaded = read_metric_table_csv(path)
+        assert loaded == table
+        assert loaded.keys == table.keys
+        assert loaded.values.tobytes() == table.values.tobytes()
+
 
 def _sdr_corpus(rng, pairs=60):
     """Waveform pairs with reference energy >= 1, for epsilon-equivalence."""
@@ -336,6 +394,32 @@ class TestVectorisedCorrelation:
         }
         assert matrix.missing == missing
         assert set(missing.values()) == {"only 0 co-present row(s)", "only 1 co-present row(s)", "constant values"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.none() | st.floats(-3, 3).map(lambda value: round(value, 1)), min_size=4,
+                             max_size=4), max_size=25))
+    def test_every_value_is_the_pair_correlation_bit_for_bit(self, rows):
+        # ties, -0.0 beside 0.0, absent cells and constant or near-empty pairs
+        columns = tuple(MetricId)[:4]
+        table = MetricTable(columns=columns)
+        for index, row in enumerate(rows):
+            table.add_row(("s", f"song{index}", "bass"), {m: v for m, v in zip(columns, row) if v is not None})
+        for kind, correlate in ((CorrelationKind.PEARSON, pearson), (CorrelationKind.SPEARMAN, spearman)):
+            values, missing = {}, {}
+            for first in columns:
+                for second in columns:
+                    pairs = [(row[first], row[second])
+                             for row in table.cells.values() if first in row and second in row]
+                    if len(pairs) < 2:
+                        missing[(first, second)] = f"only {len(pairs)} co-present row(s)"
+                        continue
+                    try:
+                        values[(first, second)] = correlate(*zip(*pairs)).hex()
+                    except UndefinedCorrelationError:
+                        missing[(first, second)] = "constant values"
+            matrix = correlation_matrix(table, kind)
+            assert {key: value.hex() for key, value in matrix.values.items()} == values
+            assert matrix.missing == missing
 
     def test_empty_table(self):
         matrix = correlation_matrix(MetricTable(columns=tuple(MetricId)[:2]), CorrelationKind.SPEARMAN)

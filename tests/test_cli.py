@@ -1018,6 +1018,18 @@ def test_parser_defaults_are_their_layers_constants():
     assert threshold == DEFAULT_CORRELATION_THRESHOLD
 
 
+@pytest.mark.parametrize("command", ["validate", "score", "rank", "oracle", "suite", "analyze", "plan", ""])
+def test_one_command_parser_reads_as_the_full_one(command):
+    # the process entry point declares the invoked command's options only
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    subcommands = [parser._subparsers._group_actions[0].choices for parser in (full, one)]
+    assert list(subcommands[1]) == list(subcommands[0])
+    if command:
+        assert subcommands[1][command].format_help() == subcommands[0][command].format_help()
+        assert subcommands[1][command].format_usage() == subcommands[0][command].format_usage()
+
+
 def test_parser_choices_are_their_owners():
     subcommands = build_parser()._subparsers._group_actions[0].choices
     choices = {
@@ -1094,12 +1106,14 @@ def test_every_option_is_in_the_config_block(dataset, baseline_submission, score
     }
     subcommands = build_parser()._subparsers._group_actions[0].choices
     assert set(subcommands) == set(argv)
+    # all_commands=False is how the entry point runs: the invoked command's options only
     for command, parser in subcommands.items():
-        assert run([command, *argv[command]]) == 0
-        keys = [key for key, _ in _config_block(capsys.readouterr().out)]
-        options = [action.dest for action in parser._actions if action.dest != "help"]
-        assert keys[0] == "command"
-        assert [key for key in keys if key in options] == options, command
+        for all_commands in (True, False):
+            assert run([command, *argv[command]], all_commands) == 0
+            keys = [key for key, _ in _config_block(capsys.readouterr().out)]
+            options = [action.dest for action in parser._actions if action.dest != "help"]
+            assert keys[0] == "command"
+            assert [key for key in keys if key in options] == options, command
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from demixeval.metrics import (
     global_sdr,
     metric_suite,
 )
-from demixeval.metrics import _ENERGY_BLOCK, _energies
+from demixeval.metrics import _ENERGY_BLOCK, _aggregate, _energies
 
 from helpers import noise_waveform
 
@@ -472,6 +472,16 @@ class TestSuiteFramewiseSeries:
 
     def test_keys_in_metric_id_order(self, pair):
         assert list(pair[2]) == list(MetricId)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -120.0, 120.0, 1.7e308, 5e-324]) | st.floats(allow_nan=False),
+                min_size=1, max_size=30))
+def test_median_is_numpys_bit_for_bit(values):
+    # overflow and signed zeros included; a process that aggregates never imports numpy.ma
+    with np.errstate(over="ignore"):
+        expected = float(np.median(values))
+    assert _aggregate(values, Aggregation.MEDIAN).hex() == expected.hex()
 
 
 class TestMetricConfig:

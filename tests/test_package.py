@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import demixeval
@@ -79,3 +80,29 @@ def test_importing_the_cli_leaves_the_environment_alone():
         "print(dict(os.environ) == before, os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
     assert _python(code, OPENBLAS_NUM_THREADS="3") == "True 3"
+
+
+@pytest.mark.parametrize("command, unused", [("suite", ["analysis", "harness", "oracle"]),
+                                             ("analyze", ["harness", "oracle"])])
+def test_a_process_loads_only_its_commands_layers(tmp_path, command, unused):
+    from demixeval.audio_io import Waveform, write_wav
+
+    reference = tmp_path / "reference.wav"
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 4000).reshape(2, 2000), 1000), reference)
+    table = tmp_path / "table.csv"
+    table.write_text("system_id,song_id,stem,global_sdr\ns,a,bass,1\ns,b,bass,2\n")
+    argv = {"suite": ["--reference", str(reference), "--estimate", str(reference)],
+            "analyze": ["--table", str(table), "--kind", "spearman"]}[command]
+    code = (
+        f"import sys; sys.argv = ['demixeval', {command!r}, *{argv!r}]\n"
+        "from demixeval.__main__ import main\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as exit:\n"
+        "    code = exit.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('demixeval.')))\n"
+    )
+    loaded = _python(code).splitlines()[-1].split()
+    assert loaded[0] == "0"
+    assert not {f"demixeval.{layer}" for layer in unused} & set(loaded)
+    assert f"demixeval.{'analysis' if command == 'analyze' else 'metrics'}" in loaded

@@ -505,8 +505,9 @@ def test_cli_mismatch(tmp_path, capsys, channels, frames, rate, detail):
 
 # (channels, frames, rate, framewise SI-SDR frame s and hop s): 1 s units cut
 # by block edges, overlapping frames, a unit longer than a block (88200
-# frames), a one-sample unit (1401 and 1000 frames are coprime) and a signal
-# shorter than the suite's 1 s unit
+# frames), a one-sample unit (1401 and 1000 frames are coprime), a signal
+# shorter than the suite's 1 s unit, and a v3 15 s unit of 120000 frames that
+# spans whole blocks, which the SDR grid's block sums share
 RESIDUAL_CASES = {
     "unit-1s": (2, 3 * _ENERGY_BLOCK + 1234, RATE, 1.0, 1.0),
     "half-hop": (2, 3 * _ENERGY_BLOCK + 1234, RATE, 1.0, 0.5),
@@ -514,6 +515,7 @@ RESIDUAL_CASES = {
     "unit-over-block": (1, 3 * _ENERGY_BLOCK + 1234, 44100, 2.0, 2.0),
     "unit-1-sample": (3, 3 * _ENERGY_BLOCK + 1234, RATE, 0.7005, 0.5),
     "shorter-than-unit": (2, RATE - 500, RATE, 0.5, 0.25),
+    "v3-unit-over-blocks": (2, 31 * 8000, 8000, 1.0, 1.0),
 }
 
 
@@ -537,7 +539,8 @@ def _residual_bits(channels, frames, rate, frame_s, hop_s):
 
 
 # _residual_bits of each case, recorded before the residual rows applied their
-# per-unit scales by broadcast
+# per-unit scales by broadcast; v3-unit-over-blocks before the walk summed a
+# piece that two grids cut alike once for both
 RECORDED_RESIDUAL_BITS = {
     "unit-1s": {
         "global_sdr": "0x1.0c7af86292e90p+3",
@@ -640,6 +643,25 @@ RECORDED_RESIDUAL_BITS = {
         "bsseval_v3_sdr": "0x1.0964ebf79e59ep+3",
         "framewise_si_sdr_mean": "0x1.3e209cda6dc2ep+3",
         "framewise_si_sdr_median": "0x1.3e209cda6dc2ep+3",
+    },
+    "v3-unit-over-blocks": {
+        "global_sdr": "0x1.0ba85299cd8c7p+3",
+        "framewise_sdr_mean": "0x1.2015e277081ffp+3",
+        "framewise_sdr_median": "0x1.26e4a66436698p+3",
+        "global_mae": "0x1.daa50a482716dp-5",
+        "framewise_mae_mean": "0x1.df82aeff89c71p-5",
+        "framewise_mae_median": "0x1.c776f4044d168p-5",
+        "global_mse": "0x1.71afb21b817fcp-8",
+        "framewise_mse_mean": "0x1.787e948402255p-8",
+        "framewise_mse_median": "0x1.3d6495e59b224p-8",
+        "global_si_sdr": "0x1.0faa8a15d230dp+3",
+        "framewise_si_sdr_mean": "0x1.78775b8a50eb0p+3",
+        "framewise_si_sdr_median": "0x1.8432bf4ad0c32p+3",
+        "bsseval_v3_sdr": "0x1.0ba85299dfc5dp+3",
+        "bsseval_v3_framewise_sdr_mean": "0x1.10d1c75f10bd5p+3",
+        "bsseval_v3_framewise_sdr_median": "0x1.10d1c75f10bd5p+3",
+        "bsseval_v4_framewise_sdr_mean": "0x1.2015e279f1c94p+3",
+        "bsseval_v4_framewise_sdr_median": "0x1.26e4a666de9dfp+3",
     },
 }
 
