@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .audio_io import _text, csv_text
+from .audio_io import csv_text, line_text
 from .errors import InvalidInputError, UndefinedCorrelationError, context
 from .metrics import MetricId
 
@@ -85,8 +85,8 @@ class MetricTable:
     The row keys are kept in a list, in the order added, and the values in
     one (rows, columns) float64 matrix, `values`, with NaN where a row has
     no value for a metric. Every value is finite, so NaN is never a value.
-    A key is three strings of valid Unicode text without CR, LF or NUL, so
-    the CSV form of a table reads back as the same table.
+    A key is three strings that audio_io.line_text accepts (valid Unicode, no
+    CR, LF or NUL), so the CSV form of a table reads back as the same table.
     """
 
     def __init__(self, columns: tuple = tuple(MetricId)) -> None:
@@ -104,12 +104,7 @@ class MetricTable:
         key = tuple(key)
         if len(key) != 3 or not all(isinstance(part, str) for part in key):
             raise InvalidInputError("row key must be (system_id, song_id, stem)")
-        text = "".join(key)
-        if "\r" in text or "\n" in text:
-            raise InvalidInputError(f"row key must not contain CR or LF, got {key!r}")
-        if "\0" in text:  # Python 3.10's csv module can neither write nor read it
-            raise InvalidInputError(f"row key must not contain NUL, got {key!r}")
-        _text(text, "row key", InvalidInputError)
+        line_text(key, "row key")
         if key in self._seen:
             raise InvalidInputError(f"duplicate row key {key}")
         return key

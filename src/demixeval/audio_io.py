@@ -333,10 +333,11 @@ def write_wav(waveform: Waveform, path) -> None:
 
 
 def check_song_id(song_id: str, error: type = ManifestError) -> None:
-    """error (a ManifestError by default) unless song_id can name a directory and a CSV cell."""
+    """error (a ManifestError by default) unless song_id is valid Unicode that can name a directory and a CSV cell."""
     if not isinstance(song_id, str) or song_id in ("", ".", "..") or any(c in song_id for c in '/\\\0,"\r\n'):
         raise error(f"song_id {song_id!r} must be a non-empty name, "
                     "not '.' or '..', without '/', '\\', NUL, ',', '\"', CR or LF")
+    _text(song_id, "song_id", error)
 
 
 @dataclass(frozen=True)
@@ -393,14 +394,25 @@ class DatasetManifest:
 
 
 def _text(value: str, what: str, error: type = ManifestError) -> str:
-    """value, if it encodes as UTF-8; else error. A lone surrogate, which a JSON
-    \\ud800 escape or an undecodable byte in an argument leaves in a str, does not,
-    so no file or stream could take it."""
+    """value, if it is a str that encodes as UTF-8; else error. A lone surrogate, which
+    a JSON \\ud800 escape or an undecodable byte in an argument leaves in a str, does
+    not, so no file or stream could take it."""
     try:
         value.encode()
-    except UnicodeEncodeError:
+    except (AttributeError, UnicodeEncodeError):  # AttributeError: not a str
         raise error(f"{what} must be valid Unicode text") from None
     return value
+
+
+def line_text(value, what: str) -> None:
+    """InvalidInputError unless value, a str or a tuple of them, can go into one output line: no CR or
+    LF (either would forge a line), no NUL (Python 3.10's csv cannot take it), and valid Unicode."""
+    text = value if isinstance(value, str) else "".join(value)
+    if "\r" in text or "\n" in text:
+        raise InvalidInputError(f"{what} must not contain CR or LF, got {value!r}")
+    if "\0" in text:
+        raise InvalidInputError(f"{what} must not contain NUL, got {value!r}")
+    _text(text, what, InvalidInputError)
 
 
 def _typed(value, kind: type, what: str):

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, _text, csv_text, format_value, load_manifest,
+from .audio_io import (DEFAULT_MIX_TOLERANCE, StemKind, csv_text, format_value, line_text, load_manifest,
                        read_wav_header, remove_unfinished_writes, validate_song_audio, write_wav_blocks)
 from .errors import DemixEvalError, InvalidInputError
 from .metrics import DEFAULT_EPSILON, FRAMEWISE_FRAMES, MetricConfig, MetricId, metric_suite
@@ -277,15 +277,10 @@ def run(argv=None, all_commands: bool = True) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        # printed raw, a CR or LF in an argument would forge an output line, and
-        # text that is not valid Unicode could not be printed at all
-        for name, value in vars(args).items():
+        for name, value in vars(args).items():  # each is printed in a '# key = value' line
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, str):
-                    flag = f"--{name.replace('_', '-')}"
-                    if "\r" in item or "\n" in item:
-                        raise InvalidInputError(f"{flag} must not contain CR or LF, got {item!r}")
-                    _text(item, flag, InvalidInputError)
+                    line_text(item, f"--{name.replace('_', '-')}")
         return args.func(args)
     except (DemixEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

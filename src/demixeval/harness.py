@@ -22,8 +22,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _typed, check_song_id, csv_text,
-                       format_value, read_wav_header)
+from .audio_io import (DatasetManifest, SongEntry, StemKind, Waveform, _read_json, _text, _typed, check_song_id,
+                       csv_text, format_value, line_text, read_wav_header)
 from .errors import (
     EvaluationError,
     InvalidInputError,
@@ -48,7 +48,9 @@ ROUNDS = (1, 2, 3)  # the challenge's rounds, in order
 
 
 def _check_seed(seed: int) -> None:
-    """InvalidInputError unless seed is a valid round-plan seed (>= 0)."""
+    """InvalidInputError unless seed is a valid round-plan seed: an int, not a bool, >= 0."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
@@ -58,7 +60,8 @@ class SongScore:
     """Scores for one song: raw per-stem SDR plus the exclusion-aware mean.
 
     per_stem is a {StemKind: float} with a finite value for each stem, kept in StemKind order;
-    excluded_stems is a frozenset of the song's silent stems, which leaves some stem kept.
+    excluded_stems is a frozenset of the song's silent stems, which leaves some stem kept,
+    and sdr_song is finite.
     """
 
     song_id: str
@@ -80,6 +83,8 @@ class SongScore:
         object.__setattr__(self, "excluded_stems", excluded)
         if excluded == set(StemKind):  # sdr_song would divide by zero
             raise InvalidInputError("every stem is excluded")
+        if not math.isfinite(self.sdr_song):  # finite values whose sum overflows; JSON has no Infinity
+            raise InvalidInputError(f"sdr_song must be finite, got {self.sdr_song}")
 
     @property
     def sdr_song(self) -> float:
@@ -94,12 +99,11 @@ class SongScore:
 class ScoreDocument:
     """One system's SongScores (a tuple) over a round plan, with its declared track.
 
-    Its rules, checked in this order, raise InvalidInputError: rounds is a
-    non-empty selection of ROUNDS (kept as a frozenset), seed is >= 0, no
-    song_id repeats, MetricConfig accepts epsilon, system_id is non-empty,
-    then holds no CR or LF (as --system), on leaderboard A the
-    declaration names only MUSDB18 or MUSDB18-HQ, and every score's song_id
-    meets check_song_id (the score named by its index, "song record <i>: ").
+    Its rules, checked in this order, raise InvalidInputError: rounds is a non-empty selection of ROUNDS
+    as ints (kept as a frozenset), seed is an int >= 0, no song_id repeats, epsilon is a float MetricConfig
+    accepts, system_id is non-empty, then meets line_text (as --system), the declaration is valid Unicode,
+    on leaderboard A it names only MUSDB18 or MUSDB18-HQ, and every score's song_id meets check_song_id
+    (the score named by its index, "song record <i>: "). So each one reads back from its JSON form.
     """
 
     system_id: str
@@ -113,7 +117,7 @@ class ScoreDocument:
     def __post_init__(self) -> None:
         object.__setattr__(self, "leaderboard", Leaderboard(self.leaderboard))
         rounds = frozenset(self.rounds)
-        if not rounds or not rounds <= set(ROUNDS):
+        if {type(r) for r in rounds} != {int} or not rounds <= set(ROUNDS):  # JSON writes True as true
             raise InvalidInputError(
                 f"rounds must be a non-empty list drawn from {', '.join(map(str, ROUNDS))}, got {sorted(rounds)}"
             )
@@ -125,11 +129,13 @@ class ScoreDocument:
             if score.song_id in seen:
                 raise InvalidInputError(f"repeated song_id {score.song_id!r}")
             seen.add(score.song_id)
+        if not isinstance(self.epsilon, float):  # the file form reads back a float
+            raise InvalidInputError(f"epsilon must be a float, got {self.epsilon!r}")
         MetricConfig(self.epsilon)
         if not self.system_id:
             raise InvalidInputError("system_id must be non-empty")
-        if "\r" in self.system_id or "\n" in self.system_id:
-            raise InvalidInputError(f"system_id must not contain CR or LF, got {self.system_id!r}")
+        line_text(self.system_id, "system_id")
+        _text(self.training_data_declaration, "training_data_declaration", InvalidInputError)
         if self.leaderboard is Leaderboard.A:
             named = {part.strip().lower() for part in re.split(r"[+,]", self.training_data_declaration)} - {""}
             if not named or not named <= _BOARD_A_DATASETS:

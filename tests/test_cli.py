@@ -946,6 +946,14 @@ def test_rank_refuses_a_system_id_that_cannot_be_printed(score_document, tmp_pat
     _assert_one_error_line(capsys, f"error: {path}: malformed score document (system_id must be valid Unicode text)\n")
 
 
+def test_rank_refuses_a_system_id_holding_nul(score_document, tmp_path, capsys):
+    # printed by rank, the NUL would reach the leaderboard row raw
+    path = tmp_path / "nul.json"
+    path.write_text(json.dumps({**score_document, "system_id": "a\u0000b"}))
+    assert run(["rank", "--scores", str(path)]) == 1
+    _assert_one_error_line(capsys, f"error: {path}: system_id must not contain NUL, got 'a\\x00b'\n")
+
+
 def test_score_refuses_an_argument_that_is_not_unicode(dataset, baseline_submission, tmp_path):
     # the byte 0xff reaches sys.argv as the lone surrogate \udcff
     args = [sys.executable, "-m", "demixeval", "score", "--manifest", str(dataset), "--estimates",

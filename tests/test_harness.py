@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from demixeval.audio_io import StemKind, Waveform, load_manifest, read_wav, read_wav_header, write_wav
 from demixeval.errors import (
@@ -92,6 +94,12 @@ class TestPlanRounds:
         manifest = _metadata_only_manifest(tmp_path, 4, demo_indices=(0, 1))
         with pytest.raises(InvalidInputError):
             plan_rounds(manifest, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, 0.0, True], ids=["fraction", "float-zero", "bool"])
+    def test_seed_must_be_an_int(self, tmp_path, seed):
+        manifest = _metadata_only_manifest(tmp_path, 4)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"):
+            plan_rounds(manifest, seed)
 
 
 class TestScoreSong:
@@ -530,6 +538,20 @@ class TestSubmissionDescriptor:
         assert load_score_document(path).leaderboard is Leaderboard.B
 
 
+# all of Unicode, lone surrogates included, with CR, LF, NUL and the characters CSV quotes
+_ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('\r\n\0,"'), max_size=4)
+
+
+def _now_and_then(valid, faults):
+    """valid, or now and then one of faults, so a fault mostly comes with valid fields around it."""
+    return st.integers(0, 7).flatmap(lambda n: st.sampled_from(faults) if n == 7 else valid)
+
+
+# a document ScoreDocument accepts, as test_every_accepted_document_reads_back draws it
+_ACCEPTED = dict(system_id="sys", leaderboard="A", declaration="MUSDB18", rounds={1, 3}, seed=0, epsilon=1e-7,
+                 records=[("a", [1.0, 2.0, 3.0, 4.0], {StemKind.BASS})])
+
+
 class TestScoreDocument:
     """A ScoreDocument built in the library obeys the rules load_score_document applies to a file."""
 
@@ -588,6 +610,104 @@ class TestScoreDocument:
         assert document.leaderboard is Leaderboard.A
         assert document.rounds == frozenset({1, 3})
         assert document.scores == (_song_score("a", 1, 2, 3, 4),)
+
+    @pytest.mark.parametrize(
+        "fields, edit, built, loaded",
+        [
+            (dict(seed=0.0), lambda doc: doc.update(seed=0.0), "seed must be an integer, got 0.0",
+             "malformed score document (seed must be a JSON integer, got 0.0)"),
+            (dict(seed=True), lambda doc: doc.update(seed=True), "seed must be an integer, got True",
+             "malformed score document (seed must be a JSON integer, got True)"),
+            (dict(epsilon=True), lambda doc: doc.update(epsilon=True), "epsilon must be a float, got True",
+             "malformed score document (epsilon must be a JSON number, got True)"),
+            (dict(rounds={True}), lambda doc: doc.update(rounds=[True]),
+             "rounds must be a non-empty list drawn from 1, 2, 3, got [True]",
+             "malformed score document (a round must be a JSON integer, got True)"),
+            # json.dumps writes a lone surrogate as the escape \ud800, which json.loads keeps
+            (dict(system_id="s\ud800"), lambda doc: doc.update(system_id="s\ud800"),
+             "system_id must be valid Unicode text", "malformed score document (system_id must be valid Unicode text)"),
+            (dict(training_data_declaration="extra\ud800"),
+             lambda doc: doc.update(training_data_declaration="extra\ud800"),
+             "training_data_declaration must be valid Unicode text",
+             "malformed score document (training_data_declaration must be valid Unicode text)"),
+            (dict(scores=[_song_score("a\ud800", 1, 2, 3, 4)]), lambda doc: doc["scores"][0].update(song_id="a\ud800"),
+             "song record 0: song_id must be valid Unicode text",
+             "malformed score document (song record 0: song_id must be valid Unicode text)"),
+            # printed by rank, the NUL would reach the leaderboard row raw
+            (dict(system_id="a\0b"), lambda doc: doc.update(system_id="a\0b"),
+             "system_id must not contain NUL, got 'a\\x00b'", "system_id must not contain NUL, got 'a\\x00b'"),
+        ],
+        ids=["seed-float", "seed-bool", "epsilon-bool", "rounds-bool", "system-id-surrogate",
+             "declaration-surrogate", "song-id-surrogate", "system-id-nul"],
+    )
+    def test_what_the_loader_refuses_is_refused_when_built(self, tmp_path, fields, edit, built, loaded):
+        document = score_documents({"sys": [_song_score("a", 1, 2, 3, 4)]}, Leaderboard.B, 1e-5, seed=7,
+                                   rounds={1}, declaration="extra")[0]
+        with pytest.raises(InvalidInputError) as refused:
+            replace(document, **fields)
+        assert str(refused.value) == built
+        doc = scores_to_document(document)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as refused:
+            load_score_document(path)
+        assert str(refused.value) == f"{path}: {loaded}"
+
+    def test_a_mean_that_overflows_is_refused(self, tmp_path):
+        # four finite values of 1.7e308 sum to inf, which JSON writes as Infinity, not a number
+        with pytest.raises(InvalidInputError, match="^sdr_song must be finite, got inf$"):
+            _song_score("a", *[1.7e308] * 4)
+        doc = scores_to_document(score_documents({"sys": [_song_score("a", 1, 2, 3, 4)]})[0])
+        doc["scores"][0].update(per_stem=dict.fromkeys(["bass", "drums", "other", "vocals"], 1.7e308), sdr_song=1.7e308)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as refused:
+            load_score_document(path)
+        assert str(refused.value) == f"{path}: song a: sdr_song must be finite, got inf"
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        system_id=st.just("sys") | _ANY_TEXT,
+        leaderboard=st.sampled_from(["A", "B", Leaderboard.A, Leaderboard.B]),
+        declaration=st.sampled_from(["MUSDB18", "musdb18-hq + MUSDB18", None]) | _ANY_TEXT,
+        rounds=_now_and_then(st.sets(st.sampled_from([1, 2, 3]), min_size=1), [set(), {True}, {1.0}, {2, 4}]),
+        seed=_now_and_then(st.integers(min_value=0), [-1, 0.0, 1.5, True, False]),
+        epsilon=_now_and_then(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                              [True, False, 1, 2**53 + 1, 0.0, math.inf, math.nan]),
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]) | _ANY_TEXT,
+                _now_and_then(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+                              [[1.7e308] * 4, [1.7e308, 1.7e308, -0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]]),
+                _now_and_then(st.sets(st.sampled_from(StemKind), max_size=2), [set(StemKind)]),
+            ),
+            max_size=3,
+            unique_by=lambda record: record[0],
+        ),
+    )
+    @example(**{**_ACCEPTED, "seed": 0.0})
+    @example(**{**_ACCEPTED, "seed": True})
+    @example(**{**_ACCEPTED, "epsilon": True})
+    @example(**{**_ACCEPTED, "rounds": {True}})
+    @example(**{**_ACCEPTED, "system_id": "a\0b"})
+    @example(**{**_ACCEPTED, "system_id": "s\ud800"})
+    @example(**{**_ACCEPTED, "declaration": "MUSDB18\ud800"})
+    @example(**{**_ACCEPTED, "records": [("a\ud800", [1.0] * 4, set())]})
+    @example(**{**_ACCEPTED, "records": [("a", [1.7e308] * 4, set())]})
+    def test_every_accepted_document_reads_back(self, tmp_path, system_id, leaderboard, declaration, rounds, seed,
+                                                 epsilon, records):
+        try:
+            document = ScoreDocument(system_id, leaderboard, declaration, rounds, seed, epsilon, [
+                SongScore(song_id, dict(zip(StemKind, values)), excluded) for song_id, values, excluded in records])
+        except InvalidInputError:
+            return  # a refused document has no file form
+        text = json.dumps(scores_to_document(document), indent=2) + "\n"  # as score --out writes it
+        path = tmp_path / "scores.json"
+        path.write_text(text)
+        loaded = load_score_document(path)
+        assert loaded == document
+        assert json.dumps(scores_to_document(loaded), indent=2) + "\n" == text
 
 
 class TestSerialization:
